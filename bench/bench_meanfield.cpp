@@ -11,14 +11,15 @@
 //   $ ./bench_meanfield              # full scan up to N = 10^6
 //   $ ./bench_meanfield --max-n 100000   # CI smoke: stop at 10^5
 //
-// Writes BENCH_meanfield.json (schema covered by tests/test_trace.cc's
-// sibling checks): one entry per scale with iterations, wall seconds and
-// per_player_update_ns, plus the flat-cost ratio the CI job asserts on.
+// Exits 1 when a scale point does not converge or when the per-player
+// update-cost spread (max / min across scales) falls outside (0, 4]: ~1x is
+// the O(1) claim, and 4x is slack for shared CI runners.
 
+#include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -26,9 +27,8 @@
 
 #include "core/scenario.h"
 #include "obs/report.h"
-#include "obs/strings.h"
+#include "util/config.h"
 #include "util/csv.h"
-#include "util/json.h"
 
 namespace {
 
@@ -39,17 +39,7 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-struct ScalePoint {
-  std::size_t players = 0;
-  std::size_t iterations = 0;
-  bool converged = false;
-  double seconds = 0.0;
-  double per_player_update_ns = 0.0;
-  double welfare = 0.0;
-  double total_load_kw = 0.0;
-  double marginal_price = 0.0;
-  double mean_congestion = 0.0;
-};
+constexpr double kMaxCostSpread = 4.0;
 
 }  // namespace
 
@@ -57,7 +47,13 @@ int main(int argc, char** argv) {
   std::size_t max_n = 1'000'000;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--max-n") == 0 && i + 1 < argc) {
-      max_n = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      const auto value = util::parse_uint(argv[++i]);
+      if (!value) {
+        std::cerr << "bench_meanfield: bad value '" << argv[i]
+                  << "' for --max-n\n";
+        return 2;
+      }
+      max_n = static_cast<std::size_t>(*value);
     } else {
       std::cerr << "usage: " << argv[0] << " [--max-n N]\n";
       return 2;
@@ -79,7 +75,9 @@ int main(int argc, char** argv) {
   util::Table table({"players", "iterations", "seconds",
                      "per_player_update_ns", "welfare", "total_load_kw",
                      "converged"});
-  std::vector<ScalePoint> points;
+  bool all_converged = true;
+  double min_cost = std::numeric_limits<double>::infinity();
+  double max_cost = 0.0;
   for (std::size_t n : scales) {
     core::ScenarioConfig config;
     config.num_olevs = n;
@@ -100,64 +98,36 @@ int main(int argc, char** argv) {
     const core::MeanFieldResult result = game.run();
     const double elapsed = seconds_since(start);
 
-    ScalePoint point;
-    point.players = n;
-    point.iterations = result.iterations;
-    point.converged = result.converged;
-    point.seconds = elapsed;
     // One field iteration re-prices every player once; the per-player
     // update cost is the engine's O(1) claim.
     const double player_updates =
         static_cast<double>(result.iterations) * static_cast<double>(n);
-    point.per_player_update_ns =
+    const double per_player_update_ns =
         player_updates > 0.0 ? elapsed * 1e9 / player_updates : 0.0;
-    point.welfare = result.welfare;
-    point.total_load_kw = result.total_load_kw;
-    point.marginal_price = result.marginal_price;
-    point.mean_congestion = result.congestion.mean;
-    points.push_back(point);
+    all_converged = all_converged && result.converged;
+    min_cost = std::min(min_cost, per_player_update_ns);
+    max_cost = std::max(max_cost, per_player_update_ns);
 
     table.add_row({std::to_string(n), std::to_string(result.iterations),
-                   util::fmt(elapsed, 4),
-                   util::fmt(point.per_player_update_ns, 1),
+                   util::fmt(elapsed, 4), util::fmt(per_player_update_ns, 1),
                    util::fmt(result.welfare, 2),
                    util::fmt(result.total_load_kw, 1),
                    result.converged ? "yes" : "NO"});
   }
   bench::emit(table, "meanfield_scale");
 
-  double min_cost = points.front().per_player_update_ns;
-  double max_cost = min_cost;
-  for (const ScalePoint& point : points) {
-    min_cost = std::min(min_cost, point.per_player_update_ns);
-    max_cost = std::max(max_cost, point.per_player_update_ns);
-  }
   const double flat_ratio = min_cost > 0.0 ? max_cost / min_cost : 0.0;
   std::cout << "\nper-player update cost spread across scales: "
             << util::fmt(flat_ratio, 2) << "x (O(1)/player means ~1x)\n";
-
-  util::JsonWriter json;
-  json.begin_object();
-  json.key("max_n").value(max_n);
-  json.key("sections").value(kSections);
-  json.key("points").begin_array();
-  for (const ScalePoint& point : points) {
-    json.begin_object();
-    json.key("players").value(point.players);
-    json.key("iterations").value(point.iterations);
-    json.key("converged").value(point.converged);
-    json.key("seconds").value(point.seconds);
-    json.key("per_player_update_ns").value(point.per_player_update_ns);
-    json.key("welfare").value(point.welfare);
-    json.key("total_load_kw").value(point.total_load_kw);
-    json.key("marginal_price").value(point.marginal_price);
-    json.key("mean_congestion").value(point.mean_congestion);
-    json.end_object();
+  if (!all_converged) {
+    std::cerr << "bench_meanfield: a scale point did not converge\n";
+    return 1;
   }
-  json.end_array();
-  json.key("per_player_update_ns_ratio").value(flat_ratio);
-  json.end_object();
-  olev::obs::write_file("BENCH_meanfield.json", json.str() + '\n');
-  std::cout << "[results saved to BENCH_meanfield.json]\n";
+  if (!(flat_ratio > 0.0 && flat_ratio <= kMaxCostSpread)) {
+    std::cerr << "bench_meanfield: per-player update cost spread "
+              << util::fmt(flat_ratio, 2) << "x is outside (0, "
+              << util::fmt(kMaxCostSpread, 1) << "]\n";
+    return 1;
+  }
   return 0;
 }

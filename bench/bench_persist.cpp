@@ -5,15 +5,15 @@
 // how long a SIGTERM drain stalls on its final snapshot (save path: encode +
 // CRC + atomic tmp/fsync/rename), and how much of the serving loop a
 // --journal daemon spends recording admissions (append path: 48 bytes into a
-// pre-reserved buffer; the flush amortizes).  Writes BENCH_persist.json into
-// the working directory (the BENCH_sweep.json convention).
+// pre-reserved buffer; the flush amortizes).  The persist.* layer metrics of
+// perfbench's traced serve_exact run (perfbench/README.md) are what is
+// compared across commits.
 //
 //   $ ./bench_persist
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <stdexcept>
 #include <iostream>
 #include <string>
@@ -150,20 +150,5 @@ int main() {
   }
   bench::emit(table, "bench_persist");
 
-  std::ofstream json("BENCH_persist.json");
-  json << "{\n  \"journal_records\": " << kJournalRecords
-       << ",\n  \"shapes\": [\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const Point& p = points[i];
-    json << "    {\"players\": " << p.shape.players
-         << ", \"sections\": " << p.shape.sections
-         << ", \"snapshot_bytes\": " << p.snapshot_bytes
-         << ", \"save_us\": " << p.save_us << ", \"load_us\": " << p.load_us
-         << ", \"append_ns\": " << p.append_ns
-         << ", \"journal_mb_s\": " << p.journal_mb_s << "}"
-         << (i + 1 < points.size() ? "," : "") << "\n";
-  }
-  json << "  ]\n}\n";
-  std::cout << "[timings saved to BENCH_persist.json]\n";
   return 0;
 }

@@ -2,13 +2,12 @@
 //
 // Spins up an in-process PricingService on an ephemeral loopback port, runs
 // the load generator against it at each batching window, and reports
-// requests/sec plus p50/p99 latency.  Writes BENCH_service.json into the
-// working directory (the BENCH_sweep.json convention) so sweeps over
-// serving configurations are scriptable.
+// requests/sec plus p50/p99 latency; exits 1 on an unclean run.  Served
+// latency is compared across commits by perfbench's serve_exact workload
+// and its traced svc.engine.apply_p50_us (perfbench/README.md).
 //
 //   $ ./bench_service
 
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <thread>
@@ -91,22 +90,5 @@ int main() {
   }
   bench::emit(table, "bench_service");
 
-  std::ofstream json("BENCH_service.json");
-  json << "{\n  \"connections\": " << kConnections
-       << ",\n  \"requests_per_connection\": " << kRequestsPerConnection
-       << ",\n  \"windows\": [\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const Point& p = points[i];
-    json << "    {\"window_us\": " << p.window_us
-         << ", \"requests_per_s\": " << p.report.requests_per_s
-         << ", \"latency_p50_us\": " << p.report.latency_p50_us
-         << ", \"latency_p99_us\": " << p.report.latency_p99_us
-         << ", \"latency_max_us\": " << p.report.latency_max_us
-         << ", \"batches\": " << p.batches
-         << ", \"max_batch\": " << p.max_batch << "}"
-         << (i + 1 < points.size() ? "," : "") << "\n";
-  }
-  json << "  ]\n}\n";
-  std::cout << "[timings saved to BENCH_service.json]\n";
   return 0;
 }

@@ -6,12 +6,13 @@
 // results bit-for-bit, and measures the incremental best-response hot path
 // (updates/sec and cache-counter totals on a 50x100 game).
 //
-// Writes BENCH_sweep.json next to the binary's working directory so runs
-// can be compared across machines and commits.  The recorded
-// hardware_concurrency is the affinity-aware util::available_concurrency()
-// (std::thread::hardware_concurrency() reported 1 inside pinned CI
-// runners, making historical reports incomparable), and the thread counts
-// actually swept are recorded alongside the timings.
+// Exits 1 when a thread count disagrees with the serial results.  Besides
+// 1, 2 and 4 threads it sweeps the affinity-aware
+// util::available_concurrency() (std::thread::hardware_concurrency()
+// reports the whole machine inside pinned CI runners).  Timings are
+// printed, not recorded: solver speed is compared across commits by
+// perfbench's solve_paper workload and its traced core.update_ns
+// (perfbench/README.md).
 
 #include <chrono>
 #include <cmath>
@@ -97,7 +98,6 @@ int main() {
                      "bit_identical"});
   std::vector<core::SweepResult> reference;
   double serial_seconds = 0.0;
-  std::vector<core::SweepBenchTiming> timings;
   bool all_identical = true;
   core::SweepReport last_report;
   for (std::size_t threads : thread_counts) {
@@ -116,12 +116,6 @@ int main() {
       matches = identical(reference, results);
       all_identical = all_identical && matches;
     }
-    core::SweepBenchTiming timing;
-    timing.threads = threads;
-    timing.seconds = elapsed;
-    timing.scenarios_per_sec = static_cast<double>(specs.size()) / elapsed;
-    timing.speedup = serial_seconds / elapsed;
-    timings.push_back(timing);
     table.add_row({std::to_string(threads), util::fmt(elapsed, 3),
                    util::fmt(static_cast<double>(specs.size()) / elapsed, 2),
                    util::fmt(serial_seconds / elapsed, 2),
@@ -166,20 +160,5 @@ int main() {
             << result.caches.response_recomputes << ", section-cost reuses "
             << result.caches.section_cost_reuses << ", refreshes "
             << result.caches.section_cost_refreshes << "\n";
-
-  core::SweepBenchReport bench_report;
-  bench_report.scenarios = specs.size();
-  bench_report.hardware_concurrency = hw;
-  bench_report.thread_counts = thread_counts;
-  bench_report.bit_identical_across_threads = all_identical;
-  bench_report.sweep = timings;
-  bench_report.hot_players = 50;
-  bench_report.hot_sections = 100;
-  bench_report.hot_updates = result.updates;
-  bench_report.hot_seconds = game_seconds;
-  bench_report.hot_updates_per_sec = updates_per_sec;
-  bench_report.hot_caches = result.caches;
-  core::save_json(bench_report, "BENCH_sweep.json");
-  std::cout << "[timings saved to BENCH_sweep.json]\n";
-  return 0;
+  return all_identical ? 0 : 1;
 }

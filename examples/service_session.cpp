@@ -108,7 +108,7 @@ int main() {
     players.push_back(std::move(player));
   }
   const core::DistributedResult reference = core::run_distributed_game(
-      std::move(players), make_cost(), kSections, util::kw(50.0));
+      std::move(players), make_cost(), kSections);
   const double diff =
       service.schedule().max_abs_diff(reference.schedule);
   std::printf("service: max |served - distributed| = %.17g %s\n", diff,

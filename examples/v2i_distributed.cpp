@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
     config.link.drop_probability = rate;
     config.retransmit_timeout_s = 0.15;
     const core::DistributedResult result = core::run_distributed_game(
-        make_players(), make_cost(), 5, olev::util::kw(50.0), config);
+        make_players(), make_cost(), 5, config);
     table.add_row({util::fmt(rate, 2), result.converged ? "yes" : "no",
                    util::fmt(static_cast<double>(result.rounds), 0),
                    util::fmt(static_cast<double>(result.retransmissions), 0),

@@ -245,9 +245,7 @@ DistributedResult run_session(std::vector<PlayerSpec> players,
 DistributedResult run_distributed_game(std::vector<PlayerSpec> players,
                                        const SectionCost& cost,
                                        std::size_t sections,
-                                       util::Kilowatts p_line,
                                        const DistributedConfig& config) {
-  (void)p_line;  // kept in the signature for symmetry with Game
   return run_session(std::move(players), nullptr, cost, sections, config);
 }
 

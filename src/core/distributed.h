@@ -51,8 +51,7 @@ struct DistributedResult {
 /// player, exchanging serialized messages over a lossy bus.
 [[nodiscard]] DistributedResult run_distributed_game(
     std::vector<PlayerSpec> players, const SectionCost& cost,
-    std::size_t sections, util::Kilowatts p_line,
-    const DistributedConfig& config = {});
+    std::size_t sections, const DistributedConfig& config = {});
 
 /// Physical profile an OLEV announces via V2I beacons (Section IV-A: OLEVs
 /// "inform their current positions and velocities"; the grid derives the

@@ -106,47 +106,4 @@ void save_json(const SweepReport& report, const std::string& path) {
   obs::write_file(path, to_json(report) + '\n');
 }
 
-std::string to_json(const SweepBenchReport& report) {
-  util::JsonWriter json;
-  json.begin_object();
-  json.key("scenarios").value(report.scenarios);
-  json.key("hardware_concurrency").value(report.hardware_concurrency);
-  json.key("thread_counts").begin_array();
-  for (std::size_t threads : report.thread_counts) json.value(threads);
-  json.end_array();
-  json.key("bit_identical_across_threads")
-      .value(report.bit_identical_across_threads);
-
-  json.key("sweep").begin_array();
-  for (const SweepBenchTiming& timing : report.sweep) {
-    json.begin_object();
-    json.key("threads").value(timing.threads);
-    json.key("seconds").value(timing.seconds);
-    json.key("scenarios_per_sec").value(timing.scenarios_per_sec);
-    json.key("speedup").value(timing.speedup);
-    json.end_object();
-  }
-  json.end_array();
-
-  json.key("hot_path").begin_object();
-  json.key("players").value(report.hot_players);
-  json.key("sections").value(report.hot_sections);
-  json.key("updates").value(report.hot_updates);
-  json.key("seconds").value(report.hot_seconds);
-  json.key("updates_per_sec").value(report.hot_updates_per_sec);
-  json.key("response_cache_hits").value(report.hot_caches.response_cache_hits);
-  json.key("response_recomputes").value(report.hot_caches.response_recomputes);
-  json.key("section_cost_reuses").value(report.hot_caches.section_cost_reuses);
-  json.key("section_cost_refreshes")
-      .value(report.hot_caches.section_cost_refreshes);
-  json.end_object();
-
-  json.end_object();
-  return json.str();
-}
-
-void save_json(const SweepBenchReport& report, const std::string& path) {
-  obs::write_file(path, to_json(report) + '\n');
-}
-
 }  // namespace olev::core

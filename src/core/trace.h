@@ -28,37 +28,4 @@ std::string to_json(const SweepReport& report);
 /// path and errno on failure.
 void save_json(const SweepReport& report, const std::string& path);
 
-/// One thread-count measurement of bench_sweep's throughput scan.
-struct SweepBenchTiming {
-  std::size_t threads = 0;
-  double seconds = 0.0;
-  double scenarios_per_sec = 0.0;
-  double speedup = 0.0;  ///< serial seconds / this seconds
-};
-
-/// The BENCH_sweep.json payload (bench/bench_sweep.cpp), factored out of
-/// the binary so the report shape is testable.  `hardware_concurrency`
-/// must be the affinity-aware util::available_concurrency() -- CI runners
-/// pin benchmark processes, and std::thread::hardware_concurrency()
-/// reporting the full socket (or, on some kernels, 1) made historical
-/// reports incomparable.  `thread_counts` records the counts actually
-/// swept so a report is interpretable without rerunning the binary.
-struct SweepBenchReport {
-  std::size_t scenarios = 0;
-  std::size_t hardware_concurrency = 0;
-  std::vector<std::size_t> thread_counts;
-  bool bit_identical_across_threads = false;
-  std::vector<SweepBenchTiming> sweep;
-  // Incremental best-response hot path (N = 50, C = 100 game).
-  std::size_t hot_players = 0;
-  std::size_t hot_sections = 0;
-  std::size_t hot_updates = 0;
-  double hot_seconds = 0.0;
-  double hot_updates_per_sec = 0.0;
-  CacheCounters hot_caches;
-};
-
-std::string to_json(const SweepBenchReport& report);
-void save_json(const SweepBenchReport& report, const std::string& path);
-
 }  // namespace olev::core

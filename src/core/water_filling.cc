@@ -90,9 +90,9 @@ namespace {
 // (total + sum b_(0..k-1)) / k; it is valid once it does not exceed the next
 // load b_(k).  Validity is monotone in k (if level_k <= b_(k) then level_{k+1}
 // is a convex combination of level_k and b_(k), hence <= b_(k) <= b_(k+1)),
-// so the smallest valid k is found by binary search.  `prefix[k]` must be the
-// fold-left sum of sorted[0..k) so every caller computes the identical level.
-// Pointer-based so SortedLoads can pass its reserved (over-sized) buffers.
+// so the smallest valid k is found by binary search.  `prefix[k]` is the
+// fold-left sum of sorted[0..k).  Pointer-based so SortedLoads can pass its
+// reserved (over-sized) buffers.
 double level_from_sorted(const double* sorted, const double* prefix,
                          std::size_t count, double total) {
   std::size_t lo = 1;
@@ -107,19 +107,6 @@ double level_from_sorted(const double* sorted, const double* prefix,
     }
   }
   return (total + prefix[lo]) / static_cast<double>(lo);
-}
-
-WaterFillResult fill_at_level(std::span<const double> others_load,
-                              double level) {
-  WaterFillResult result;
-  result.level = level;
-  result.row.resize(others_load.size());
-  for (std::size_t c = 0; c < others_load.size(); ++c) {
-    const double fill = std::max(0.0, level - others_load[c]);
-    result.row[c] = fill;
-    if (fill > 0.0) ++result.active_sections;
-  }
-  return result;
 }
 
 }  // namespace
@@ -238,81 +225,8 @@ WaterFillResult SortedLoads::fill(Kilowatts total_kw) const {
 }
 
 WaterFillResult water_fill(std::span<const double> others_load,
-                           Kilowatts total_kw) {
-  const double total = total_kw.value();
-  if (others_load.empty()) {
-    throw std::invalid_argument("water_fill: need at least one section");
-  }
-  if (total < 0.0) throw std::invalid_argument("water_fill: negative total");
-
-  if (total == 0.0) {
-    WaterFillResult result;
-    result.row.assign(others_load.size(), 0.0);
-    result.level = *std::min_element(others_load.begin(), others_load.end());
-    return result;
-  }
-
-  std::vector<double> sorted(others_load.begin(), others_load.end());
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<double> prefix(sorted.size() + 1, 0.0);
-  for (std::size_t k = 1; k <= sorted.size(); ++k) {
-    prefix[k] = prefix[k - 1] + sorted[k - 1];
-  }
-  WaterFillResult result = fill_at_level(
-      others_load,
-      level_from_sorted(sorted.data(), prefix.data(), sorted.size(), total));
-  OLEV_AUDIT_ONLY(
-      audit_fill(others_load, total, result.row, result.level, 1e-9,
-                 "water_fill");)
-  return result;
-}
-
-WaterFillResult water_fill_masked(std::span<const double> others_load,
-                                  Kilowatts total_kw,
-                                  const std::vector<bool>& mask) {
-  const double total = total_kw.value();
-  if (mask.size() != others_load.size()) {
-    throw std::invalid_argument("water_fill_masked: mask length mismatch");
-  }
-  // Collect the admissible subset, solve on it, scatter back.
-  std::vector<double> subset;
-  std::vector<std::size_t> positions;
-  for (std::size_t c = 0; c < mask.size(); ++c) {
-    if (mask[c]) {
-      subset.push_back(others_load[c]);
-      positions.push_back(c);
-    }
-  }
-  if (subset.empty()) {
-    if (total > 0.0) {
-      throw std::invalid_argument(
-          "water_fill_masked: positive total with empty mask");
-    }
-    WaterFillResult empty;
-    empty.row.assign(others_load.size(), 0.0);
-    return empty;
-  }
-  WaterFillResult inner = water_fill(subset, total_kw);
-  WaterFillResult result;
-  result.level = inner.level;
-  result.active_sections = inner.active_sections;
-  result.iterations = inner.iterations;
-  result.row.assign(others_load.size(), 0.0);
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    result.row[positions[i]] = inner.row[i];
-  }
-#if OLEV_AUDIT_ENABLED
-  // Section IV-A mask contract: sections off the OLEV's path receive
-  // *exactly* zero (the inner call already audited Lemma IV.1 on the
-  // admissible subset).
-  for (std::size_t c = 0; c < mask.size(); ++c) {
-    OLEV_AUDIT_CHECK(mask[c] || result.row[c] == 0.0,
-                     "water_fill_masked: allocation " +
-                         std::to_string(result.row[c]) +
-                         " on masked-out section " + std::to_string(c));
-  }
-#endif
-  return result;
+                           Kilowatts total) {
+  return SortedLoads(others_load).fill(total);
 }
 
 WaterFillResult water_fill_bisect(std::span<const double> others_load,

@@ -36,6 +36,8 @@ struct WaterFillResult {
 };
 
 /// Exact sort-based water-filling.  `others_load` is b; `total` is p_n >= 0.
+/// One-shot form of SortedLoads(others_load).fill(total); throws
+/// std::invalid_argument on an empty b or a negative total.
 [[nodiscard]] WaterFillResult water_fill(std::span<const double> others_load,
                                          Kilowatts total);
 
@@ -49,16 +51,6 @@ struct WaterFillResult {
 [[nodiscard]] OLEV_HOT double water_fill_volume(
     std::span<const double> others_load, Kilowatts level);
 
-/// Masked variant: water-fills `total` over only the sections with
-/// mask[c] == true (the sections on the OLEV's planned path -- Section
-/// IV-A's ETA exchange tells the grid which sections a vehicle will
-/// actually traverse).  Unmasked sections receive exactly 0.  Lemma IV.1
-/// holds verbatim on the masked subset.  Requires at least one masked
-/// section when total > 0.
-[[nodiscard]] WaterFillResult water_fill_masked(std::span<const double> others_load,
-                                                Kilowatts total,
-                                                const std::vector<bool>& mask);
-
 /// A pre-sorted view of an others-load vector b for repeated water-fill
 /// queries against the same (or nearly the same) b.
 ///
@@ -71,9 +63,8 @@ struct WaterFillResult {
 ///                                    allocation),
 ///   - update_one(...)  in O(C)      (in-place shift instead of a full
 ///                                    re-sort when a single entry of b moved).
-/// All of them reproduce water_fill()'s arithmetic exactly -- same fold-left
-/// summation order, same level formula -- so results are bit-identical to
-/// the one-shot solver (property-tested).
+/// water_fill() is the one-shot form of fill(), so the two are bit-identical
+/// by construction (and property-tested).
 ///
 /// Real-time discipline (util/hot.h): the query/update members are hot roots
 /// of the static allocation wall.  Storage is sized by the cold members

@@ -40,6 +40,14 @@ struct File {
   throw std::runtime_error("persist: " + what + " '" + path + "'");
 }
 
+/// The encode half of the decoders' vector bound.
+void check_length(std::size_t entries) {
+  if (entries > kMaxVectorEntries) {
+    throw std::runtime_error("persist: vector of " + std::to_string(entries) +
+                             " entries exceeds the decode bound");
+  }
+}
+
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> bytes, std::uint32_t seed) {
@@ -76,11 +84,13 @@ void Writer::f64(double v) {
 }
 
 void Writer::f64_vector(const std::vector<double>& values) {
+  check_length(values.size());
   u64(static_cast<std::uint64_t>(values.size()));
   for (const double v : values) f64(v);
 }
 
 void Writer::u32_vector(const std::vector<std::uint32_t>& values) {
+  check_length(values.size());
   u64(static_cast<std::uint64_t>(values.size()));
   for (const std::uint32_t v : values) u32(v);
 }
@@ -146,6 +156,11 @@ std::vector<std::uint32_t> Reader::u32_vector(std::size_t max_count) {
 
 std::vector<std::uint8_t> encode_blob(BlobKind kind,
                                       std::span<const std::uint8_t> payload) {
+  if (payload.size() > kDefaultMaxPayloadBytes) {
+    throw std::runtime_error("persist: payload of " +
+                             std::to_string(payload.size()) +
+                             " bytes exceeds the decode bound");
+  }
   Writer header;
   header.u16(kCodecVersion);
   header.u8(static_cast<std::uint8_t>(kind));

@@ -41,7 +41,13 @@ inline constexpr std::uint16_t kCodecVersion = 1;
 inline constexpr std::size_t kBlobHeaderBytes = 20;
 /// Header-alone rejection bound: a payload_len past this is hostile or
 /// corrupt no matter what follows (a city-scale snapshot is ~megabytes).
+/// encode_blob refuses to frame a longer payload, so nothing written here
+/// is unreadable by decode_blob's default.
 inline constexpr std::uint64_t kDefaultMaxPayloadBytes = 64ull << 20;
+/// Longest vector a payload may carry: 8M doubles is the payload ceiling
+/// expressed in doubles.  Writer refuses to encode a longer one, and the
+/// snapshot and journal decoders refuse to read one.
+inline constexpr std::size_t kMaxVectorEntries = 8'000'000;
 
 /// What a blob claims to contain; decode rejects a kind mismatch so a
 /// journal file can never be fed to the snapshot loader (or vice versa).
@@ -56,7 +62,8 @@ std::uint32_t crc32(std::span<const std::uint8_t> bytes,
                     std::uint32_t seed = 0);
 
 /// Little-endian byte-sink mirroring net/message.cc's Writer; doubles are
-/// written as raw bit patterns (bit-identical round trip).
+/// written as raw bit patterns (bit-identical round trip).  The vector
+/// writers throw std::runtime_error past kMaxVectorEntries.
 class Writer {
  public:
   void u8(std::uint8_t v) { bytes_.push_back(v); }
@@ -97,7 +104,8 @@ class Reader {
   std::size_t offset_ = 0;
 };
 
-/// Frames `payload` as a versioned blob (header above + payload).
+/// Frames `payload` as a versioned blob (header above + payload).  Throws
+/// std::runtime_error when the payload exceeds kDefaultMaxPayloadBytes.
 std::vector<std::uint8_t> encode_blob(BlobKind kind,
                                       std::span<const std::uint8_t> payload);
 

@@ -28,7 +28,7 @@ JournalHeader decode_header(std::span<const std::uint8_t> payload) {
   header.players = r.u64();
   header.sections = r.u64();
   header.epsilon = r.f64();
-  header.caps_kw = r.f64_vector(8'000'000);
+  header.caps_kw = r.f64_vector(kMaxVectorEntries);
   if (!r.exhausted()) {
     throw std::runtime_error("persist: trailing bytes in journal header");
   }

@@ -8,13 +8,6 @@
 #include "persist/codec.h"
 
 namespace olev::persist {
-namespace {
-
-/// Decode-side allocation bound for the double vectors (schedule, caps):
-/// 8M entries is the 64 MiB payload ceiling expressed in doubles.
-constexpr std::size_t kMaxDoubles = 8'000'000;
-
-}  // namespace
 
 std::vector<std::uint8_t> encode(const ServiceSnapshot& snapshot) {
   Writer w;
@@ -43,15 +36,15 @@ ServiceSnapshot decode(std::span<const std::uint8_t> payload) {
   engine.players = r.u64();
   engine.sections = r.u64();
   engine.epsilon = r.f64();
-  engine.caps_kw = r.f64_vector(kMaxDoubles);
-  engine.schedule_kw = r.f64_vector(kMaxDoubles);
+  engine.caps_kw = r.f64_vector(kMaxVectorEntries);
+  engine.schedule_kw = r.f64_vector(kMaxVectorEntries);
   engine.updates = r.u64();
   engine.residual = r.f64();
   engine.converged = r.u8();
   engine.total_load_kw = r.f64();
   snapshot.announcing_started = r.u8();
   snapshot.converged_broadcast = r.u8();
-  snapshot.bound_players = r.u32_vector(kMaxDoubles);
+  snapshot.bound_players = r.u32_vector(kMaxVectorEntries);
   if (!r.exhausted()) {
     throw std::runtime_error("persist: trailing bytes in snapshot payload");
   }

@@ -63,7 +63,10 @@ std::vector<std::uint8_t> encode(const ServiceSnapshot& snapshot);
 ServiceSnapshot decode(std::span<const std::uint8_t> payload);
 
 /// Frames + atomically writes the snapshot; records the snapshot_save
-/// flight event and the persist.snapshot.{bytes,save_us} metrics.
+/// flight event and the persist.snapshot.{bytes,save_us} metrics.  A
+/// snapshot past the decode bounds (kMaxVectorEntries, kDefaultMaxPayloadBytes)
+/// throws std::runtime_error before anything is written, so a file at `path`
+/// is left as it was.
 void save(const std::string& path, const ServiceSnapshot& snapshot);
 
 /// Reads + validates + parses; records snapshot_load and

@@ -227,7 +227,7 @@ std::string LoadgenReport::to_json() const {
   // obs::format_double: shortest round-trippable decimal, so whole-number
   // latencies print as integers instead of the 6-significant-digit
   // scientific notation std::ostream would lossily emit -- the same
-  // convention the obs registry JSON and BENCH_*.json comparisons use.
+  // convention the obs registry JSON uses.
   std::string out = "{\n";
   auto field_u64 = [&out](const char* name, std::uint64_t value) {
     out += "  \"";

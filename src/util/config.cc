@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -14,6 +16,44 @@ std::string trim(const std::string& text) {
   while (begin != end && std::isspace(static_cast<unsigned char>(*begin))) ++begin;
   while (end != begin && std::isspace(static_cast<unsigned char>(*(end - 1)))) --end;
   return std::string(begin, end);
+}
+
+namespace {
+
+// strto* leaves `end` where parsing stopped and sets ERANGE on overflow.
+bool whole_and_in_range(const std::string& text, const char* end) {
+  return !text.empty() && end == text.c_str() + text.size() && errno != ERANGE;
+}
+
+}  // namespace
+
+std::optional<double> parse_double(const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text.c_str(), &end);
+  if (!whole_and_in_range(text, end)) return std::nullopt;
+  return value;
+}
+
+std::optional<std::int64_t> parse_int(const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (!whole_and_in_range(text, end)) return std::nullopt;
+  return static_cast<std::int64_t>(value);
+}
+
+std::optional<std::uint64_t> parse_uint(const std::string& text,
+                                        std::uint64_t max, int base) {
+  // strtoull skips whitespace and negates a '-' value; refuse both here.
+  if (text.empty() || !std::isxdigit(static_cast<unsigned char>(text[0]))) {
+    return std::nullopt;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text.c_str(), &end, base);
+  if (!whole_and_in_range(text, end) || value > max) return std::nullopt;
+  return static_cast<std::uint64_t>(value);
 }
 
 Config Config::parse(const std::string& text) {
@@ -92,30 +132,18 @@ double Config::get_double(const std::string& section, const std::string& key,
                           double fallback) const {
   const auto value = get(section, key);
   if (!value) return fallback;
-  try {
-    std::size_t consumed = 0;
-    const double parsed = std::stod(*value, &consumed);
-    if (consumed != value->size()) throw std::invalid_argument("trailing");
-    return parsed;
-  } catch (const std::exception&) {
-    throw std::runtime_error("Config: [" + section + "] " + key +
-                             " is not a number: '" + *value + "'");
-  }
+  if (const auto parsed = parse_double(*value)) return *parsed;
+  throw std::runtime_error("Config: [" + section + "] " + key +
+                           " is not a number: '" + *value + "'");
 }
 
 std::int64_t Config::get_int(const std::string& section, const std::string& key,
                              std::int64_t fallback) const {
   const auto value = get(section, key);
   if (!value) return fallback;
-  try {
-    std::size_t consumed = 0;
-    const std::int64_t parsed = std::stoll(*value, &consumed);
-    if (consumed != value->size()) throw std::invalid_argument("trailing");
-    return parsed;
-  } catch (const std::exception&) {
-    throw std::runtime_error("Config: [" + section + "] " + key +
-                             " is not an integer: '" + *value + "'");
-  }
+  if (const auto parsed = parse_int(*value)) return *parsed;
+  throw std::runtime_error("Config: [" + section + "] " + key +
+                           " is not an integer: '" + *value + "'");
 }
 
 bool Config::get_bool(const std::string& section, const std::string& key,

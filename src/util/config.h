@@ -12,6 +12,8 @@
 // enumerable so harnesses can reject typos.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -61,5 +63,18 @@ class Config {
 
 /// Trims ASCII whitespace from both ends.
 std::string trim(const std::string& text);
+
+// Whole-string number parsing, shared by Config's typed accessors and the
+// command-line tools' flags.  The whole text must be one number: an empty
+// string, trailing characters, or a value out of range for the result type
+// gives nullopt instead of a truncated, saturated or wrapped value.
+std::optional<double> parse_double(const std::string& text);
+std::optional<std::int64_t> parse_int(const std::string& text);
+/// Unsigned, in `base` (16 also accepts a 0x prefix).  A sign or leading
+/// whitespace is rejected, and so is a value above `max`.
+std::optional<std::uint64_t> parse_uint(
+    const std::string& text,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max(),
+    int base = 10);
 
 }  // namespace olev::util

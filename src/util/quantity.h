@@ -21,10 +21,10 @@
 // scales, so `kw(3) * hours(2)` *is* a KilowattHours with raw value 6.0 --
 // no runtime conversion ever happens inside arithmetic, which keeps results
 // bit-identical to the raw-double code this replaces (the zero-overhead
-// claim BENCH_micro_hotpath pins).  Mixing units of the same dimension
-// (Seconds + Hours, mph where m/s is expected) is also a compile error;
-// conversions are explicit through the to_*() helpers below, which reuse
-// the exact units.h formulas.
+// claim perfbench's solve_paper and core.update_ns measure).  Mixing units
+// of the same dimension (Seconds + Hours, mph where m/s is expected) is also
+// a compile error; conversions are explicit through the to_*() helpers
+// below, which reuse the exact units.h formulas.
 //
 // Solver inner loops intentionally stay on the raw representation: spans of
 // `double` (e.g. the other-load vector b, in kW) are the documented inner

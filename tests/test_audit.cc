@@ -117,23 +117,54 @@ TEST(AuditDegenerate, ZeroTotalRequestAllSolvers) {
 
 TEST(AuditDegenerate, AllMaskedSectionsZeroTotal) {
   AuditFiringGuard guard;
-  const std::vector<double> b{5.0, 6.0};
-  const std::vector<bool> none{false, false};
-  const WaterFillResult result = core::water_fill_masked(b, olev::util::kw(0.0), none);
-  EXPECT_EQ(result.row, std::vector<double>({0.0, 0.0}));
-  // Positive total with an empty mask is a *caller* error, not an invariant
-  // violation: invalid_argument, no auditor firing.
-  EXPECT_THROW((void)core::water_fill_masked(b, olev::util::kw(1.0), none), std::invalid_argument);
+  // A player with no admissible section and no capacity: Game's
+  // path-restricted update places it nowhere.
+  std::vector<PlayerSpec> players(2);
+  players[0].satisfaction = std::make_unique<core::LogSatisfaction>(40.0);
+  players[0].p_max = olev::util::kw(0.0);
+  players[0].allowed_sections = {false, false};
+  players[1].satisfaction = std::make_unique<core::LogSatisfaction>(70.0);
+  players[1].p_max = olev::util::kw(50.0);
+  core::Game game(std::move(players), make_cost(60.0), 2,
+                  olev::util::kw(120.0));
+  const core::GameResult result = game.run();
+  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(result.schedule.at(0, 0), 0.0);
+  EXPECT_EQ(result.schedule.at(0, 1), 0.0);
+  // A positive cap with no admissible section is a *caller* error, not an
+  // invariant violation: invalid_argument, no auditor firing.
+  std::vector<PlayerSpec> stranded(1);
+  stranded[0].satisfaction = std::make_unique<core::LogSatisfaction>(40.0);
+  stranded[0].p_max = olev::util::kw(1.0);
+  stranded[0].allowed_sections = {false, false};
+  EXPECT_THROW(core::Game(std::move(stranded), make_cost(60.0), 2,
+                          olev::util::kw(120.0)),
+               std::invalid_argument);
 }
 
 TEST(AuditDegenerate, SingleAdmissibleSectionTakesEverything) {
   AuditFiringGuard guard;
-  const std::vector<double> b{9.0, 1.0, 7.0};
-  const std::vector<bool> only_middle{false, true, false};
-  const WaterFillResult result = core::water_fill_masked(b, olev::util::kw(4.0), only_middle);
-  EXPECT_DOUBLE_EQ(result.row[1], 4.0);
-  EXPECT_EQ(result.row[0], 0.0);
-  EXPECT_EQ(result.row[2], 0.0);
+  // Player 0's path admits only section 1: its whole best response lands
+  // there (Lemma IV.3 on the one-entry subvector of b), exactly 0 elsewhere.
+  std::vector<PlayerSpec> players(2);
+  players[0].satisfaction = std::make_unique<core::LogSatisfaction>(55.0);
+  players[0].p_max = olev::util::kw(30.0);
+  players[0].allowed_sections = {false, true, false};
+  players[1].satisfaction = std::make_unique<core::LogSatisfaction>(70.0);
+  players[1].p_max = olev::util::kw(50.0);
+  GameConfig config;
+  config.epsilon = 1e-9;
+  core::Game game(std::move(players), make_cost(60.0), 3, olev::util::kw(120.0),
+                  config);
+  const core::GameResult result = game.run();
+  ASSERT_TRUE(result.converged);
+  EXPECT_EQ(result.schedule.at(0, 0), 0.0);
+  EXPECT_EQ(result.schedule.at(0, 2), 0.0);
+  const std::vector<double> b{result.schedule.column_totals_excluding(0)[1]};
+  const core::BestResponse response = core::best_response(
+      core::LogSatisfaction(55.0), make_cost(60.0), b, olev::util::kw(30.0));
+  EXPECT_GT(response.p_star, 0.0);
+  EXPECT_NEAR(result.schedule.at(0, 1), response.p_star, 1e-6);
 }
 
 TEST(AuditDegenerate, DuplicateMinimumLoads) {

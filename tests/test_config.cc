@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
@@ -144,6 +145,39 @@ TEST(Config, LoadFromFile) {
   EXPECT_EQ(config.get_int("scenario", "num_olevs", 0), 7);
   std::remove(path.c_str());
   EXPECT_THROW(Config::load("/nonexistent_dir_xyz/x.ini"), std::runtime_error);
+}
+
+TEST(ParseNumber, AcceptsOnlyAWholeNumberInRange) {
+  EXPECT_EQ(parse_double("60.5"), 60.5);
+  EXPECT_EQ(parse_double("1e-7"), 1e-7);
+  EXPECT_FALSE(parse_double(""));
+  EXPECT_FALSE(parse_double("1.5z"));
+  EXPECT_FALSE(parse_double("abc"));
+  EXPECT_FALSE(parse_double("1e999"));
+  EXPECT_EQ(parse_int("-3"), -3);
+  EXPECT_FALSE(parse_int("12abc"));
+  EXPECT_FALSE(parse_int("99999999999999999999"));
+}
+
+TEST(ParseNumber, UnsignedRejectsSignsExponentsAndValuesPastItsBound) {
+  EXPECT_EQ(parse_uint("64"), 64u);
+  EXPECT_FALSE(parse_uint("1e6"));  // strtoull alone stops at 'e': 1
+  EXPECT_FALSE(parse_uint("abc"));  // strtoull alone gives 0
+  EXPECT_FALSE(parse_uint("-1"));   // strtoull alone wraps it to 2^64 - 1
+  EXPECT_FALSE(parse_uint("+5"));
+  EXPECT_FALSE(parse_uint(" 5"));
+  EXPECT_FALSE(parse_uint(""));
+  EXPECT_FALSE(parse_uint("18446744073709551616"));  // 2^64
+  EXPECT_EQ(parse_uint("65535", UINT16_MAX), 65535u);
+  EXPECT_FALSE(parse_uint("70000", UINT16_MAX));  // 4464 once cast to 16 bits
+}
+
+TEST(ParseNumber, HexAcceptsAnOptionalPrefix) {
+  EXPECT_EQ(parse_uint("0x1f", UINT64_MAX, 16), 0x1fu);
+  EXPECT_EQ(parse_uint("1F", UINT64_MAX, 16), 0x1fu);
+  EXPECT_EQ(parse_uint("0xffffffffffffffff", UINT64_MAX, 16), UINT64_MAX);
+  EXPECT_FALSE(parse_uint("xyz", UINT64_MAX, 16));
+  EXPECT_FALSE(parse_uint("0x", UINT64_MAX, 16));
 }
 
 }  // namespace

@@ -36,7 +36,7 @@ TEST(Distributed, ConvergesOnPerfectLink) {
   DistributedConfig config;
   const DistributedResult result =
       run_distributed_game(make_players({10.0, 20.0, 15.0}), make_cost(), 3,
-                           olev::util::kw(50.0), config);
+                           config);
   EXPECT_TRUE(result.converged);
   EXPECT_EQ(result.retransmissions, 0u);
   EXPECT_EQ(result.bus.dropped, 0u);
@@ -47,7 +47,7 @@ TEST(Distributed, MatchesInProcessEquilibrium) {
   const GameResult reference = reference_equilibrium(weights, 3);
   DistributedConfig config;
   const DistributedResult result =
-      run_distributed_game(make_players(weights), make_cost(), 3, olev::util::kw(50.0), config);
+      run_distributed_game(make_players(weights), make_cost(), 3, config);
   ASSERT_TRUE(result.converged);
   EXPECT_NEAR(result.schedule.max_abs_diff(reference.schedule), 0.0, 1e-4);
 }
@@ -59,7 +59,7 @@ TEST(Distributed, SurvivesMessageLoss) {
   config.link.drop_probability = 0.2;
   config.retransmit_timeout_s = 0.1;
   const DistributedResult result =
-      run_distributed_game(make_players(weights), make_cost(), 3, olev::util::kw(50.0), config);
+      run_distributed_game(make_players(weights), make_cost(), 3, config);
   ASSERT_TRUE(result.converged);
   EXPECT_GT(result.retransmissions, 0u);
   EXPECT_GT(result.bus.dropped, 0u);
@@ -73,7 +73,7 @@ TEST(Distributed, SurvivesHeavyLoss) {
   config.retransmit_timeout_s = 0.05;
   config.max_sim_time_s = 7200.0;
   const DistributedResult result = run_distributed_game(
-      make_players({10.0, 20.0}), make_cost(), 2, olev::util::kw(50.0), config);
+      make_players({10.0, 20.0}), make_cost(), 2, config);
   EXPECT_TRUE(result.converged);
 }
 
@@ -83,9 +83,9 @@ TEST(Distributed, LatencyOnlyDelaysConvergence) {
   DistributedConfig slow;
   slow.link.base_latency_s = 0.1;
   const auto quick = run_distributed_game(make_players({10.0, 20.0}),
-                                          make_cost(), 2, olev::util::kw(50.0), fast);
+                                          make_cost(), 2, fast);
   const auto tardy = run_distributed_game(make_players({10.0, 20.0}),
-                                          make_cost(), 2, olev::util::kw(50.0), slow);
+                                          make_cost(), 2, slow);
   ASSERT_TRUE(quick.converged);
   ASSERT_TRUE(tardy.converged);
   EXPECT_LT(quick.sim_time_s, tardy.sim_time_s);
@@ -96,7 +96,7 @@ TEST(Distributed, LatencyOnlyDelaysConvergence) {
 TEST(Distributed, SinglePlayer) {
   DistributedConfig config;
   const DistributedResult result =
-      run_distributed_game(make_players({10.0}), make_cost(), 2, olev::util::kw(50.0), config);
+      run_distributed_game(make_players({10.0}), make_cost(), 2, config);
   EXPECT_TRUE(result.converged);
   EXPECT_GT(result.schedule.row_total(0), 0.0);
 }
@@ -191,7 +191,7 @@ TEST(Distributed, HighJitterReorderingTolerated) {
   config.link.jitter_s = 0.2;  // 40x the base latency
   config.retransmit_timeout_s = 0.5;
   const DistributedResult result =
-      run_distributed_game(make_players(weights), make_cost(), 3, olev::util::kw(50.0), config);
+      run_distributed_game(make_players(weights), make_cost(), 3, config);
   ASSERT_TRUE(result.converged);
   EXPECT_NEAR(result.schedule.max_abs_diff(reference.schedule), 0.0, 1e-4);
 }
@@ -204,14 +204,14 @@ TEST(Distributed, LossAndJitterCombined) {
   config.retransmit_timeout_s = 0.12;
   config.max_sim_time_s = 7200.0;
   const DistributedResult result = run_distributed_game(
-      make_players({10.0, 20.0, 15.0, 9.0}), make_cost(), 3, olev::util::kw(50.0), config);
+      make_players({10.0, 20.0, 15.0, 9.0}), make_cost(), 3, config);
   EXPECT_TRUE(result.converged);
 }
 
 TEST(Distributed, BusTrafficAccounted) {
   DistributedConfig config;
   const DistributedResult result = run_distributed_game(
-      make_players({10.0, 20.0}), make_cost(), 2, olev::util::kw(50.0), config);
+      make_players({10.0, 20.0}), make_cost(), 2, config);
   // Every completed round needs announce + request + confirm >= 3 messages.
   EXPECT_GE(result.bus.sent, 3 * result.rounds);
   EXPECT_GT(result.bus.bytes_sent, 0u);

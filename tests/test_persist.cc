@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -141,6 +143,20 @@ TEST(Codec, OversizedPayloadRejectedFromHeaderAlone) {
       std::runtime_error);
 }
 
+TEST(Codec, EncodeRefusesAPayloadDecodeWouldRefuse) {
+  // One byte past the bound, mapped but never touched: the length alone
+  // must be refused, before the CRC reads a byte.
+  const std::size_t length = kDefaultMaxPayloadBytes + 1;
+  void* pages = ::mmap(nullptr, length, PROT_READ,
+                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  ASSERT_NE(pages, MAP_FAILED);
+  const std::span<const std::uint8_t> payload(
+      static_cast<const std::uint8_t*>(pages), length);
+  EXPECT_THROW((void)encode_blob(BlobKind::kSnapshot, payload),
+               std::runtime_error);
+  ::munmap(pages, length);
+}
+
 TEST(Codec, AtomicFileRoundTripLeavesNoTempBehind) {
   TempPath file("codec_atomic.bin");
   const std::vector<std::uint8_t> bytes = {0, 1, 2, 3, 250, 251, 252};
@@ -208,6 +224,25 @@ TEST(Snapshot, DecodeRejectsShapeLies) {
   ServiceSnapshot bad_player = sample_snapshot();
   bad_player.bound_players = {5};  // out of the 3-player universe
   EXPECT_THROW((void)decode(encode(bad_player)), std::runtime_error);
+}
+
+TEST(Snapshot, SaveOverTheDecodeBoundThrowsAndKeepsTheOldFile) {
+  TempPath file("snapshot_oversize.bin");
+  save(file.path, sample_snapshot());
+  const std::vector<std::uint8_t> before = read_file(file.path);
+
+  // One schedule entry past what load() accepts: save must refuse it rather
+  // than replace a loadable snapshot with one --resume cannot read.
+  ServiceSnapshot oversized = sample_snapshot();
+  oversized.engine.players = 1;
+  oversized.engine.sections = kMaxVectorEntries + 1;
+  oversized.engine.caps_kw = {40.0};
+  oversized.engine.schedule_kw.assign(kMaxVectorEntries + 1, 1.0);
+  oversized.bound_players.clear();
+  EXPECT_THROW(save(file.path, oversized), std::runtime_error);
+
+  EXPECT_EQ(read_file(file.path), before);
+  EXPECT_EQ(load(file.path), sample_snapshot());
 }
 
 // --- engine state capture / restore -----------------------------------------
@@ -675,7 +710,7 @@ TEST(Persist, InterruptedGridPacedGameResumesToTheSameFixedPoint) {
     players.push_back(std::move(player));
   }
   const core::DistributedResult reference = core::run_distributed_game(
-      std::move(players), make_cost(), 3, util::kw(50.0));
+      std::move(players), make_cost(), 3);
   ASSERT_TRUE(reference.converged);
 
   TempPath snap("grid_paced_resume.bin");

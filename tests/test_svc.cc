@@ -403,7 +403,7 @@ TEST(Service, GridPacedSessionMatchesDistributedDriverBitExactly) {
     players.push_back(std::move(player));
   }
   const core::DistributedResult reference = core::run_distributed_game(
-      std::move(players), make_cost(), 3, util::kw(50.0));
+      std::move(players), make_cost(), 3);
   ASSERT_TRUE(reference.converged);
 
   // Served: same game, grid-paced announcements over real sockets.

@@ -145,44 +145,6 @@ TEST(Trace, SweepReportSerializesEveryField) {
   std::remove(path.c_str());
 }
 
-TEST(Trace, SweepBenchReportSerializesEveryField) {
-  // Regression for the BENCH_sweep.json "hardware_concurrency": 1 bug: the
-  // report must carry the affinity-aware CPU count and the thread counts
-  // actually swept, and both must survive serialization.
-  SweepBenchReport report;
-  report.scenarios = 64;
-  report.hardware_concurrency = util::available_concurrency();
-  report.thread_counts = {1, 2, 4};
-  report.bit_identical_across_threads = true;
-  report.sweep = {{1, 2.0, 32.0, 1.0}, {2, 1.0, 64.0, 2.0}, {4, 0.5, 128.0, 4.0}};
-  report.hot_players = 50;
-  report.hot_sections = 100;
-  report.hot_updates = 1000;
-  report.hot_seconds = 0.25;
-  report.hot_updates_per_sec = 4000.0;
-  report.hot_caches.response_cache_hits = 7;
-
-  const std::string json = to_json(report);
-  EXPECT_NE(json.find("\"scenarios\":64"), std::string::npos);
-  EXPECT_NE(json.find("\"hardware_concurrency\":" +
-                      std::to_string(report.hardware_concurrency)),
-            std::string::npos);
-  EXPECT_NE(json.find("\"thread_counts\":[1,2,4]"), std::string::npos);
-  EXPECT_NE(json.find("\"bit_identical_across_threads\":true"),
-            std::string::npos);
-  EXPECT_NE(json.find("\"speedup\":4"), std::string::npos);
-  EXPECT_NE(json.find("\"updates_per_sec\":4000"), std::string::npos);
-  EXPECT_NE(json.find("\"response_cache_hits\":7"), std::string::npos);
-
-  const std::string path = ::testing::TempDir() + "/olev_bench_sweep.json";
-  save_json(report, path);
-  std::ifstream in(path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  EXPECT_EQ(buffer.str(), json + "\n");
-  std::remove(path.c_str());
-}
-
 TEST(Trace, AvailableConcurrencyIsPositiveAndAffinityBounded) {
   const std::size_t available = util::available_concurrency();
   EXPECT_GE(available, 1u);

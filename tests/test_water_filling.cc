@@ -151,51 +151,6 @@ TEST(WaterFill, PropertyRandomizedInvariants) {
   }
 }
 
-TEST(WaterFillMasked, ZeroOutsideMask) {
-  const std::vector<double> b{1.0, 2.0, 3.0, 4.0};
-  const std::vector<bool> mask{true, false, true, false};
-  const auto result = water_fill_masked(b, olev::util::kw(5.0), mask);
-  EXPECT_DOUBLE_EQ(result.row[1], 0.0);
-  EXPECT_DOUBLE_EQ(result.row[3], 0.0);
-  EXPECT_NEAR(result.row[0] + result.row[2], 5.0, 1e-12);
-}
-
-TEST(WaterFillMasked, MatchesUnmaskedSolveOnSubset) {
-  const std::vector<double> b{1.0, 2.0, 3.0, 4.0};
-  const std::vector<bool> mask{true, false, true, false};
-  const auto masked = water_fill_masked(b, olev::util::kw(5.0), mask);
-  const std::vector<double> subset{1.0, 3.0};
-  const auto direct = water_fill(subset, olev::util::kw(5.0));
-  EXPECT_NEAR(masked.level, direct.level, 1e-12);
-  EXPECT_NEAR(masked.row[0], direct.row[0], 1e-12);
-  EXPECT_NEAR(masked.row[2], direct.row[1], 1e-12);
-}
-
-TEST(WaterFillMasked, FullMaskEqualsUnmasked) {
-  const std::vector<double> b{3.0, 1.0, 2.0};
-  const std::vector<bool> mask(3, true);
-  const auto masked = water_fill_masked(b, olev::util::kw(4.0), mask);
-  const auto plain = water_fill(b, olev::util::kw(4.0));
-  for (std::size_t c = 0; c < 3; ++c) {
-    EXPECT_NEAR(masked.row[c], plain.row[c], 1e-12);
-  }
-}
-
-TEST(WaterFillMasked, Validation) {
-  const std::vector<double> b{1.0, 2.0};
-  const std::vector<bool> short_mask{true};
-  EXPECT_THROW((void)water_fill_masked(b, olev::util::kw(1.0), short_mask),
-               std::invalid_argument);
-  const std::vector<bool> empty_mask{false, false};
-  EXPECT_THROW((void)water_fill_masked(b, olev::util::kw(1.0), empty_mask),
-               std::invalid_argument);
-  // Zero total with an empty mask is fine (nothing to place).
-  const auto result =
-      water_fill_masked(b, olev::util::kw(0.0), empty_mask);
-  EXPECT_DOUBLE_EQ(result.row[0], 0.0);
-  EXPECT_DOUBLE_EQ(result.row[1], 0.0);
-}
-
 TEST(WaterFill, MinimizesConvexCostAmongAlternatives) {
   // Water-filling minimizes sum Z(b_c + p_c) for strictly convex Z among all
   // feasible splits (Eq. 11).  Compare against random alternative splits.
@@ -252,16 +207,6 @@ TEST(WaterFill, LevelExactlyAtNextLoadBoundary) {
   EXPECT_DOUBLE_EQ(result.level, 3.0);
   EXPECT_DOUBLE_EQ(result.row[0], 2.0);
   EXPECT_DOUBLE_EQ(result.row[1], 0.0);
-}
-
-TEST(WaterFillMasked, SingleMaskedSection) {
-  const std::vector<double> b{4.0, 100.0, 6.0};
-  const std::vector<bool> mask{false, true, false};
-  const auto result = water_fill_masked(b, olev::util::kw(2.5), mask);
-  EXPECT_DOUBLE_EQ(result.row[0], 0.0);
-  EXPECT_DOUBLE_EQ(result.row[1], 2.5);  // even though it's the priciest
-  EXPECT_DOUBLE_EQ(result.row[2], 0.0);
-  EXPECT_DOUBLE_EQ(result.level, 102.5);
 }
 
 TEST(SortedLoads, HandlesSingleSectionAndRepeatedUpdates) {

@@ -1,14 +1,12 @@
 // Property-based cross-check of the three water-filling solvers.
 //
-// For ~1000 random (b, total, mask) instances:
+// For ~1000 random (b, total) instances:
 //   * water_fill, water_fill_bisect and generalized_fill (with identical
 //     per-section costs) must agree on the allocation;
 //   * the budget is conserved: sum(row) == total;
 //   * every entry is non-negative;
 //   * no *inactive* section sits below the water level (a section left
 //     empty must already be loaded to at least lambda*);
-//   * the masked solver leaves unmasked sections at exactly zero and solves
-//     Lemma IV.1 verbatim on the subset;
 //   * SortedLoads reproduces water_fill bit-for-bit, both freshly assigned
 //     and after single-entry update_one repositioning.
 
@@ -36,7 +34,6 @@ double sum_of(const std::vector<double>& xs) {
 struct Instance {
   std::vector<double> b;
   double total = 0.0;
-  std::vector<bool> mask;  ///< at least one true
 };
 
 Instance random_instance(util::Rng& rng, int trial) {
@@ -68,18 +65,6 @@ Instance random_instance(util::Rng& rng, int trial) {
     default:
       instance.total = rng.uniform(0.0, 300.0);
       break;
-  }
-  instance.mask.assign(sections, false);
-  std::size_t masked = 0;
-  for (std::size_t c = 0; c < sections; ++c) {
-    if (rng.bernoulli(0.6)) {
-      instance.mask[c] = true;
-      ++masked;
-    }
-  }
-  if (masked == 0) {
-    instance.mask[static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(sections) - 1))] = true;
   }
   return instance;
 }
@@ -131,26 +116,6 @@ TEST(WaterFillProperty, SolversAgreeAndInvariantsHold) {
           EXPECT_GE(b[c], exact.level - tol(total))
               << "trial " << trial << " section " << c;
         }
-      }
-    }
-
-    // Masked solver: zero off-mask, Lemma IV.1 verbatim on the subset.
-    const WaterFillResult masked = water_fill_masked(b, olev::util::kw(total), instance.mask);
-    EXPECT_NEAR(sum_of(masked.row), total, tol(total)) << "trial " << trial;
-    std::vector<double> subset;
-    for (std::size_t c = 0; c < b.size(); ++c) {
-      if (!instance.mask[c]) {
-        EXPECT_EQ(masked.row[c], 0.0) << "trial " << trial << " section " << c;
-      } else {
-        subset.push_back(b[c]);
-      }
-    }
-    const WaterFillResult on_subset = water_fill(subset, olev::util::kw(total));
-    std::size_t i = 0;
-    for (std::size_t c = 0; c < b.size(); ++c) {
-      if (instance.mask[c]) {
-        EXPECT_EQ(masked.row[c], on_subset.row[i++])
-            << "trial " << trial << " section " << c;
       }
     }
   }

@@ -8,13 +8,13 @@
 //
 //   $ ./olev_loadgen --port 7143 --connections 64 --requests 50 --players 64
 
-#include <cstdlib>
-#include <cstring>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <string>
 
 #include "svc/loadgen.h"
+#include "util/config.h"
 
 namespace {
 
@@ -56,14 +56,22 @@ int main(int argc, char** argv) {
       std::cerr << "olev_loadgen: " << arg << " needs a value\n";
       return 2;
     }
-    auto next_d = [&]() { return std::strtod(argv[++i], nullptr); };
-    auto next_u = [&]() {
-      return static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+    // A numeric value must parse whole and fit its field (a port is 16 bits).
+    bool bad_number = false;
+    auto next_d = [&]() {
+      const auto value = olev::util::parse_double(argv[++i]);
+      bad_number = !value;
+      return value.value_or(0.0);
+    };
+    auto next_u = [&](std::uint64_t max = SIZE_MAX) {
+      const auto value = olev::util::parse_uint(argv[++i], max);
+      bad_number = !value;
+      return static_cast<std::size_t>(value.value_or(0));
     };
     if (arg == "--host") {
       config.host = argv[++i];
     } else if (arg == "--port") {
-      config.port = static_cast<std::uint16_t>(next_u());
+      config.port = static_cast<std::uint16_t>(next_u(UINT16_MAX));
     } else if (arg == "--connections") {
       config.connections = next_u();
     } else if (arg == "--requests") {
@@ -83,6 +91,11 @@ int main(int argc, char** argv) {
     } else {
       std::cerr << "olev_loadgen: unknown option " << arg << "\n";
       usage(argv[0]);
+      return 2;
+    }
+    if (bad_number) {
+      std::cerr << "olev_loadgen: bad value '" << argv[i] << "' for " << arg
+                << "\n";
       return 2;
     }
   }

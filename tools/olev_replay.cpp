@@ -21,6 +21,7 @@
 #include <cstring>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,13 +30,14 @@
 #include "obs/strings.h"
 #include "persist/journal.h"
 #include "svc/engine.h"
+#include "util/config.h"
 #include "util/quantity.h"
 
 namespace {
 
 struct Options {
   std::string journal_path;
-  std::string expect_hash;  // empty = no gate; "0x..." or bare hex
+  std::optional<std::uint64_t> expect_hash;  // unset = no gate
   // Section cost knobs; defaults mirror olevd's.
   double beta = 5.0;
   double alpha = 0.875;
@@ -66,11 +68,19 @@ bool parse(int argc, char** argv, Options& options) {
       std::cerr << "olev_replay: " << arg << " needs a value\n";
       return false;
     }
-    auto next_d = [&]() { return std::strtod(argv[++i], nullptr); };
+    // A numeric value must parse whole: a malformed one is a usage error.
+    bool bad_number = false;
+    auto next_d = [&]() {
+      const auto value = olev::util::parse_double(argv[++i]);
+      bad_number = !value;
+      return value.value_or(0.0);
+    };
     if (arg == "--journal") {
       options.journal_path = argv[++i];
     } else if (arg == "--expect-hash") {
-      options.expect_hash = argv[++i];
+      options.expect_hash =
+          olev::util::parse_uint(argv[++i], UINT64_MAX, /*base=*/16);
+      bad_number = !options.expect_hash;
     } else if (arg == "--beta") {
       options.beta = next_d();
     } else if (arg == "--alpha") {
@@ -84,6 +94,11 @@ bool parse(int argc, char** argv, Options& options) {
     } else {
       std::cerr << "olev_replay: unknown option " << arg << "\n";
       usage(argv[0]);
+      return false;
+    }
+    if (bad_number) {
+      std::cerr << "olev_replay: bad value '" << argv[i] << "' for " << arg
+                << "\n";
       return false;
     }
   }
@@ -184,18 +199,10 @@ int main(int argc, char** argv) {
     std::fputs(out.c_str(), stdout);
     std::fflush(stdout);
 
-    if (!options.expect_hash.empty()) {
-      std::string expected = options.expect_hash;
-      if (expected.rfind("0x", 0) == 0 || expected.rfind("0X", 0) == 0) {
-        expected = expected.substr(2);
-      }
-      const std::uint64_t want =
-          std::strtoull(expected.c_str(), nullptr, 16);
-      if (want != hash) {
-        std::cerr << "olev_replay: HASH MISMATCH: got " << hash_hex
-                  << " expected " << hex64(want) << "\n";
-        return 1;
-      }
+    if (options.expect_hash && *options.expect_hash != hash) {
+      std::cerr << "olev_replay: HASH MISMATCH: got " << hash_hex
+                << " expected " << hex64(*options.expect_hash) << "\n";
+      return 1;
     }
     return 0;
   } catch (const std::exception& error) {

@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "svc/admin.h"
+#include "util/config.h"
 
 namespace {
 
@@ -52,6 +54,11 @@ bool parse(int argc, char** argv, Options& options) {
       }
       return true;
     };
+    auto bad_value = [&]() {
+      std::cerr << "olev_top: bad value '" << argv[i] << "' for " << arg
+                << "\n";
+      return false;
+    };
     if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       std::exit(0);
@@ -60,12 +67,15 @@ bool parse(int argc, char** argv, Options& options) {
     } else if (!need_value()) {
       return false;
     } else if (arg == "--port") {
-      options.port =
-          static_cast<std::uint16_t>(std::strtoul(argv[++i], nullptr, 10));
+      const auto port = olev::util::parse_uint(argv[++i], UINT16_MAX);
+      if (!port) return bad_value();
+      options.port = static_cast<std::uint16_t>(*port);
     } else if (arg == "--host") {
       options.host = argv[++i];
     } else if (arg == "--interval-s") {
-      options.interval_s = std::strtod(argv[++i], nullptr);
+      const auto interval = olev::util::parse_double(argv[++i]);
+      if (!interval) return bad_value();
+      options.interval_s = *interval;
     } else {
       std::cerr << "olev_top: unknown option " << arg << "\n";
       usage(argv[0]);

@@ -12,6 +12,7 @@
 // exit, same as every other harness in this repo (docs/OBSERVABILITY.md).
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -23,6 +24,7 @@
 #include "obs/report.h"
 #include "persist/journal.h"
 #include "svc/service.h"
+#include "util/config.h"
 #include "util/quantity.h"
 
 namespace {
@@ -102,9 +104,17 @@ bool parse(int argc, char** argv, Options& options) {
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next_d = [&]() { return std::strtod(argv[++i], nullptr); };
-    auto next_u = [&]() {
-      return static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+    // A numeric value must parse whole and fit its field (a port is 16 bits).
+    bool bad_number = false;
+    auto next_d = [&]() {
+      const auto value = olev::util::parse_double(argv[++i]);
+      bad_number = !value;
+      return value.value_or(0.0);
+    };
+    auto next_u = [&](std::uint64_t max = SIZE_MAX) {
+      const auto value = olev::util::parse_uint(argv[++i], max);
+      bad_number = !value;
+      return static_cast<std::size_t>(value.value_or(0));
     };
     if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
@@ -116,10 +126,10 @@ bool parse(int argc, char** argv, Options& options) {
     } else if (!need_value(i)) {
       return false;
     } else if (arg == "--port") {
-      options.port = static_cast<std::uint16_t>(next_u());
+      options.port = static_cast<std::uint16_t>(next_u(UINT16_MAX));
     } else if (arg == "--admin-port") {
       options.admin = true;
-      options.admin_port = static_cast<std::uint16_t>(next_u());
+      options.admin_port = static_cast<std::uint16_t>(next_u(UINT16_MAX));
     } else if (arg == "--players") {
       options.players = next_u();
     } else if (arg == "--sections") {
@@ -177,6 +187,10 @@ bool parse(int argc, char** argv, Options& options) {
     } else {
       std::cerr << "olevd: unknown option " << arg << "\n";
       usage(argv[0]);
+      return false;
+    }
+    if (bad_number) {
+      std::cerr << "olevd: bad value '" << argv[i] << "' for " << arg << "\n";
       return false;
     }
   }

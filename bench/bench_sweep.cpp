@@ -155,9 +155,7 @@ int main() {
   std::cout << "hot path (N=50, C=100): " << result.updates << " updates in "
             << util::fmt(game_seconds, 3) << " s = "
             << util::fmt(updates_per_sec, 0) << " updates/sec\n"
-            << "cache counters: best-response hits "
-            << result.caches.response_cache_hits << ", recomputes "
-            << result.caches.response_recomputes << ", section-cost reuses "
+            << "cache counters: section-cost reuses "
             << result.caches.section_cost_reuses << ", refreshes "
             << result.caches.section_cost_refreshes << "\n";
   return all_identical ? 0 : 1;

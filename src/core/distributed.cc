@@ -6,8 +6,7 @@
 #include <optional>
 
 #include "core/best_response.h"
-#include "core/payment.h"
-#include "core/water_filling.h"
+#include "core/pricing_engine.h"
 
 namespace olev::core {
 
@@ -71,73 +70,69 @@ class OlevAgent {
   std::optional<AgentProfile> profile_;
 };
 
-/// The smart grid endpoint: coordinates rounds, water-fills requests,
-/// announces updated payment functions, retransmits into loss, and (when
-/// beacons are in use) clamps every request to the beacon-derived cap.
+/// The smart grid endpoint: paces rounds, prices each outstanding request
+/// through the shared grid-side update (core/pricing_engine.h), announces
+/// the next payment function and retransmits into loss.  When beacons are in
+/// use, the engine's per-player caps are the beacon-derived admission caps.
 class SmartGrid {
  public:
   SmartGrid(std::size_t players, const SectionCost& cost, std::size_t sections,
-            const DistributedConfig& config, bool admission_control)
-      : cost_(cost), config_(config), schedule_(players, sections),
-        admission_control_(admission_control),
+            const DistributedConfig& config,
+            const std::vector<AgentProfile>* profiles)
+      : cost_(cost), sections_(sections), config_(config),
+        profiles_(profiles),
         caps_(players, std::numeric_limits<double>::infinity()),
         payments_(players, 0.0) {}
 
-  const PowerSchedule& schedule() const { return schedule_; }
-  bool converged() const { return converged_; }
-  std::size_t rounds() const { return round_; }
+  const PowerSchedule& schedule() const { return engine_->schedule(); }
+  bool converged() const { return engine_->converged(); }
+  std::size_t rounds() const { return engine_->updates(); }
   std::size_t retransmissions() const { return retransmissions_; }
   const std::vector<double>& payments() const { return payments_; }
 
-  void start(net::MessageBus& bus, double now) { announce(bus, now); }
+  /// Ends the beacon phase: builds the engine with the caps the beacons set
+  /// and opens the first round.
+  void start(net::MessageBus& bus, double now) {
+    EngineConfig engine_config;
+    engine_config.players = caps_.size();
+    engine_config.sections = sections_;
+    engine_config.epsilon = config_.epsilon;
+    engine_config.caps_kw = caps_;
+    engine_.emplace(cost_, std::move(engine_config));
+    announce(bus, now);
+  }
 
   void handle(const net::Envelope& envelope, net::MessageBus& bus, double now) {
     if (const auto* beacon = std::get_if<net::BeaconMsg>(&envelope.payload)) {
-      if (admission_control_ && beacon->player < caps_.size() &&
-          pending_profiles_ != nullptr) {
-        caps_[beacon->player] =
-            (*pending_profiles_)[beacon->player].admission_cap_kw();
+      if (profiles_ != nullptr && !engine_ && beacon->player < caps_.size()) {
+        caps_[beacon->player] = (*profiles_)[beacon->player].admission_cap_kw();
       }
       return;
     }
     const auto* request = std::get_if<net::PowerRequestMsg>(&envelope.payload);
-    if (request == nullptr) return;
+    if (request == nullptr || !engine_) return;
     // Only the outstanding round is actionable; stale or duplicate
     // responses (from retransmitted announcements) are ignored.
-    if (request->round != round_ || request->player != cursor()) return;
+    if (request->round != engine_->updates() ||
+        request->player != engine_->cursor()) {
+      return;
+    }
 
-    const std::size_t player = cursor();
-    const auto others = schedule_.column_totals_excluding(player);
-    const double previous = schedule_.row_total(player);
-    const double admitted =
-        std::clamp(request->total_kw, 0.0, caps_[player]);
-    const WaterFillResult allocation = water_fill(others, util::kw(admitted));
-    schedule_.set_row(player, allocation.row);
-
+    const PricingEngine::Applied& applied =
+        engine_->apply(request->player, request->total_kw);
     net::ScheduleMsg confirmation;
     confirmation.player = request->player;
-    confirmation.round = round_;
-    confirmation.row_kw = allocation.row;
-    confirmation.payment = externality_payment(cost_, others, allocation.row);
-    payments_[player] = confirmation.payment;
+    confirmation.round = request->round;
+    confirmation.row_kw = applied.row;
+    confirmation.payment = applied.payment;
+    payments_[request->player] = applied.payment;
     bus.send(net::kGridNode, envelope.from, now, confirmation);
-
-    cycle_max_delta_ = std::max(
-        cycle_max_delta_, std::abs(schedule_.row_total(player) - previous));
-    ++round_;
-    if (round_ % schedule_.players() == 0) {
-      if (cycle_max_delta_ < config_.epsilon) {
-        converged_ = true;
-        return;
-      }
-      cycle_max_delta_ = 0.0;
-    }
-    announce(bus, now);
+    if (!engine_->converged()) announce(bus, now);
   }
 
   /// Retransmits the outstanding announcement when the response is overdue.
   void tick(net::MessageBus& bus, double now) {
-    if (converged_) return;
+    if (converged()) return;
     if (now - last_announce_s_ >= config_.retransmit_timeout_s) {
       ++retransmissions_;
       announce(bus, now);
@@ -146,35 +141,26 @@ class SmartGrid {
 
   double last_announce_s() const { return last_announce_s_; }
 
-  void bind_profiles(const std::vector<AgentProfile>* profiles) {
-    pending_profiles_ = profiles;
-  }
-
  private:
-  std::size_t cursor() const { return round_ % schedule_.players(); }
-
   void announce(net::MessageBus& bus, double now) {
-    const std::size_t player = cursor();
+    const std::size_t player = engine_->cursor();
     net::PaymentFunctionMsg announcement;
     announcement.player = static_cast<std::uint32_t>(player);
-    announcement.round = round_;
-    announcement.others_load_kw = schedule_.column_totals_excluding(player);
+    announcement.round = engine_->updates();
+    announcement.others_load_kw = engine_->others_load(player);
     bus.send(net::kGridNode, static_cast<net::NodeId>(player + 1), now,
              std::move(announcement));
     last_announce_s_ = now;
   }
 
   SectionCost cost_;
+  std::size_t sections_;
   DistributedConfig config_;
-  PowerSchedule schedule_;
-  bool admission_control_;
-  std::vector<double> caps_;
+  const std::vector<AgentProfile>* profiles_;
+  std::vector<double> caps_;  ///< beacon-derived; +inf until a beacon lands
   std::vector<double> payments_;  ///< last confirmed payment per player
-  const std::vector<AgentProfile>* pending_profiles_ = nullptr;
-  std::uint64_t round_ = 0;
-  double cycle_max_delta_ = 0.0;
+  std::optional<PricingEngine> engine_;  ///< built by start()
   double last_announce_s_ = 0.0;
-  bool converged_ = false;
   std::size_t retransmissions_ = 0;
 };
 
@@ -183,9 +169,7 @@ DistributedResult run_session(std::vector<PlayerSpec> players,
                               const SectionCost& cost, std::size_t sections,
                               const DistributedConfig& config) {
   net::MessageBus bus(config.link);
-  SmartGrid grid(players.size(), cost, sections, config,
-                 /*admission_control=*/profiles != nullptr);
-  grid.bind_profiles(profiles);
+  SmartGrid grid(players.size(), cost, sections, config, profiles);
   std::vector<OlevAgent> agents;
   agents.reserve(players.size());
   for (std::size_t n = 0; n < players.size(); ++n) {

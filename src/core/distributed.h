@@ -41,9 +41,9 @@ struct DistributedResult {
   double sim_time_s = 0.0;          ///< simulated time to convergence
   net::BusStats bus;
   /// Per-player externality payment from each player's final ScheduleMsg
-  /// (Eq. 8-9 evaluated at the player's last applied update).  The socket
-  /// service (src/svc) serves the same protocol and must reproduce these
-  /// bit-exactly on the same scenario.
+  /// (Eq. 8-9 evaluated at the player's last applied update).  The grid
+  /// prices every request through core::PricingEngine, the engine olevd
+  /// serves, so a grid-paced service session reports the same bits.
   std::vector<double> payments;
 };
 

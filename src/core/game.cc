@@ -30,10 +30,6 @@ OLEV_RT_VCALL_OK("olev::core::Game::update_greedy",
 namespace {
 // Eagerly-bound obs handles: a function-local static would put
 // __cxa_guard_acquire and the registry lock on the hot path.
-obs::Counter& g_obs_cache_hits =
-    obs::Registry::instance().counter("core.game.response_cache_hits");
-obs::Counter& g_obs_recomputes =
-    obs::Registry::instance().counter("core.game.response_recomputes");
 obs::Counter& g_obs_section_reuses =
     obs::Registry::instance().counter("core.game.section_cost_reuses");
 obs::Counter& g_obs_section_refreshes =
@@ -88,9 +84,6 @@ void Game::rebuild_caches() {
     row_totals_[n] = schedule_.row_total(n);
     sat_values_[n] = players_[n].satisfaction->value(row_totals_[n]);
   }
-  last_b_.assign(players_.size(), std::vector<double>(sections_, 0.0));
-  has_last_b_.assign(players_.size(), false);
-  last_p_star_.assign(players_.size(), 0.0);
   // Hot-path arenas: sized once here so update_player never allocates.
   scratch_others_.assign(sections_, 0.0);
   scratch_row_.assign(sections_, 0.0);
@@ -197,7 +190,6 @@ double Game::update_waterfill(std::size_t player,
                          std::to_string(response.p_star) +
                          " outside [0, p_max]");
     commit_row(player, others, row);
-    last_p_star_[player] = response.p_star;
     return std::abs(response.p_star - previous);
   }
 
@@ -225,7 +217,6 @@ double Game::update_waterfill(std::size_t player,
     }
   }
   commit_row(player, others, scratch_row_);
-  last_p_star_[player] = p_star;
   return std::abs(p_star - previous);
 }
 
@@ -277,7 +268,6 @@ double Game::update_greedy(std::size_t player,
 
   const double previous = row_totals_[player];
   commit_row(player, others, scratch_row_);
-  last_p_star_[player] = p_star;
   return std::abs(p_star - previous);
 }
 
@@ -290,26 +280,9 @@ double Game::update_player(std::size_t player) {
   OLEV_HOT_REGION("core.game.update");
   std::span<double> others{scratch_others_.data(), sections_};
   others_load_into(player, others);
-  // Both schedulers are deterministic functions of b (and fixed player
-  // parameters): if b is unchanged since this player's last solve, its row
-  // is already its best response -- skip the solve entirely.  last_b_ rows
-  // are pre-sized to C, so the comparison and the refresh below never
-  // allocate.
-  std::vector<double>& last_b = last_b_[player];
-  if (has_last_b_[player] &&
-      std::equal(others.begin(), others.end(), last_b.begin())) {
-    ++caches_.response_cache_hits;
-    OLEV_OBS_ONLY(g_obs_cache_hits.add(1);)
-    return std::abs(last_p_star_[player] - row_totals_[player]);
-  }
-  ++caches_.response_recomputes;
-  OLEV_OBS_ONLY(g_obs_recomputes.add(1);)
-  const double delta = config_.scheduler == SchedulerKind::kWaterFilling
-                           ? update_waterfill(player, others)
-                           : update_greedy(player, others);
-  std::copy(others.begin(), others.end(), last_b.begin());
-  has_last_b_[player] = true;
-  return delta;
+  return config_.scheduler == SchedulerKind::kWaterFilling
+             ? update_waterfill(player, others)
+             : update_greedy(player, others);
 }
 
 std::size_t Game::pick_player() {
@@ -432,6 +405,12 @@ GameResult Game::finalize(bool converged, std::size_t updates,
   result.trajectory = std::move(trajectory);
   result.caches = caches_;
 
+  // One fold of the column totals serves every payment, the welfare and the
+  // congestion report: O(N * C) in all.  b_c = max(0, P_c - p_{n,c}) is the
+  // same fold-subtract-clamp PowerSchedule uses for a player's b, so each
+  // payment keeps its bits.
+  const std::vector<double> loads = schedule_.column_totals();
+  std::vector<double> others(sections_);
   double welfare = 0.0;
   result.requests.reserve(players_.size());
   result.payments.reserve(players_.size());
@@ -439,9 +418,11 @@ GameResult Game::finalize(bool converged, std::size_t updates,
   for (std::size_t n = 0; n < players_.size(); ++n) {
     const double request = schedule_.row_total(n);
     result.requests.push_back(request);
-    const auto others = schedule_.column_totals_excluding(n);
-    const double payment =
-        externality_payment(cost_, others, schedule_.row(n));
+    const auto row = schedule_.row(n);
+    for (std::size_t c = 0; c < sections_; ++c) {
+      others[c] = std::max(0.0, loads[c] - row[c]);
+    }
+    const double payment = externality_payment(cost_, others, row);
     // Eq. 8-9 at the fixed point: every externality payment is finite and
     // non-negative (each OLEV pays exactly the section cost its own load
     // adds; Z nondecreasing + p >= 0 makes that sum >= 0).
@@ -459,11 +440,9 @@ GameResult Game::finalize(bool converged, std::size_t updates,
     welfare += satisfaction;
   }
   const double idle_cost = cost_.value(0.0);
-  for (double load : schedule_.column_totals()) {
-    welfare -= cost_.value(load) - idle_cost;
-  }
+  for (double load : loads) welfare -= cost_.value(load) - idle_cost;
   result.welfare = welfare;
-  result.congestion = congestion_report(schedule_, util::Kilowatts{p_line_kw_});
+  result.congestion = congestion_report(loads, util::Kilowatts{p_line_kw_});
   return result;
 }
 

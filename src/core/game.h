@@ -53,29 +53,22 @@ struct GameConfig {
 };
 
 /// Counters for the incremental-update caches (cumulative since the last
-/// reset).  `response_*` counts whole player updates: a hit means the
-/// player's b vector was unchanged since its last update, so the stored
-/// best response was reused without solving anything.  `section_*` counts
-/// per-section cost cells in commit_row: a reuse means the section's load
-/// did not change, so Z(P_c) kept its cached value.
+/// reset).  `section_*` counts per-section cost cells in commit_row: a
+/// reuse means the section's load did not change, so Z(P_c) kept its
+/// cached value.  `response_*` always read 0: Game keeps no best-response
+/// memo, and the fields stay only because the benchmark still reports
+/// them (perfbench/solve_paper.cc).
 ///
-/// This struct is the per-Game view; every increment is mirrored into the
-/// process-wide obs registry under `core.game.*` (docs/OBSERVABILITY.md),
-/// which aggregates across all Game instances and threads.
+/// This struct is the per-Game view; every section increment is mirrored
+/// into the process-wide obs registry under `core.game.*`
+/// (docs/OBSERVABILITY.md), which aggregates across all Game instances and
+/// threads.
 struct CacheCounters {
-  std::size_t response_cache_hits = 0;
-  std::size_t response_recomputes = 0;
+  std::size_t response_cache_hits = 0;  ///< always 0 (no memo)
+  std::size_t response_recomputes = 0;  ///< always 0 (no memo)
   std::size_t section_cost_reuses = 0;
   std::size_t section_cost_refreshes = 0;
 
-  /// Fraction of player updates served from the response cache; 0 when no
-  /// updates happened yet (so the ratio is always a valid probability).
-  double response_hit_ratio() const {
-    const std::size_t total = response_cache_hits + response_recomputes;
-    return total == 0 ? 0.0
-                      : static_cast<double>(response_cache_hits) /
-                            static_cast<double>(total);
-  }
   /// Fraction of per-section cost cells reused without re-evaluating Z.
   double section_reuse_ratio() const {
     const std::size_t total = section_cost_reuses + section_cost_refreshes;
@@ -172,9 +165,6 @@ class Game {
   std::vector<double> cost_values_;   ///< Z(P_c) per section
   std::vector<double> row_totals_;    ///< p_n per player
   std::vector<double> sat_values_;    ///< U_n(p_n) per player
-  std::vector<std::vector<double>> last_b_;  ///< b at each player's last solve
-  std::vector<bool> has_last_b_;
-  std::vector<double> last_p_star_;   ///< p_n* from each player's last solve
   // --- pre-sized hot-path arenas (rebuild_caches sizes them; update_player
   // --- and everything below it never allocate) ---
   std::vector<double> scratch_others_;        ///< b of the updating player

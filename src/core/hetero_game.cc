@@ -129,22 +129,24 @@ HeteroGameResult HeteroGame::run() {
   result.schedule = schedule_;
   result.converged = converged;
   result.updates = updates;
+  // One fold of the column totals for every payment and the welfare (same
+  // arithmetic as Game::finalize): O(N * C) in all.
+  const std::vector<double> loads = schedule_.column_totals();
   for (std::size_t n = 0; n < players_.size(); ++n) {
     const double request = schedule_.row_total(n);
     result.requests.push_back(request);
-    const auto others = schedule_.column_totals_excluding(n);
     double payment = 0.0;
     for (std::size_t c = 0; c < costs_.size(); ++c) {
-      payment += costs_[c].value(others[c] + schedule_.at(n, c)) -
-                 costs_[c].value(others[c]);
+      const double own = schedule_.at(n, c);
+      const double others = std::max(0.0, loads[c] - own);
+      payment += costs_[c].value(others + own) - costs_[c].value(others);
     }
     result.payments.push_back(payment);
     result.welfare += players_[n].satisfaction->value(request);
   }
   for (std::size_t c = 0; c < costs_.size(); ++c) {
-    const double load = schedule_.column_total(c);
-    result.welfare -= costs_[c].value(load) - costs_[c].value(0.0);
-    result.marginal_prices.push_back(costs_[c].derivative(load));
+    result.welfare -= costs_[c].value(loads[c]) - costs_[c].value(0.0);
+    result.marginal_prices.push_back(costs_[c].derivative(loads[c]));
   }
   return result;
 }

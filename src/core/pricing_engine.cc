@@ -1,4 +1,4 @@
-#include "svc/engine.h"
+#include "core/pricing_engine.h"
 
 #include <algorithm>
 #include <bit>
@@ -11,11 +11,11 @@
 #include "obs/flight.h"
 #include "util/hot.h"
 
-namespace olev::svc {
+namespace olev::core {
 
-OLEV_HOT_ROOT("olev::svc::PricingEngine::apply");
+OLEV_HOT_ROOT("olev::core::PricingEngine::apply");
 
-PricingEngine::PricingEngine(core::SectionCost cost, EngineConfig config)
+PricingEngine::PricingEngine(SectionCost cost, EngineConfig config)
     : cost_(std::move(cost)),
       config_(std::move(config)),
       schedule_(config_.players, config_.sections),
@@ -38,7 +38,7 @@ PricingEngine::PricingEngine(core::SectionCost cost, EngineConfig config)
 
 void PricingEngine::restore_state(std::span<const double> schedule_flat,
                                   std::uint64_t updates, double residual,
-                                  bool converged, double total_load_kw) {
+                                  bool converged, double total_load) {
   if (schedule_flat.size() != schedule_.players() * schedule_.sections()) {
     throw std::invalid_argument(
         "PricingEngine: restore schedule size != players * sections");
@@ -51,7 +51,7 @@ void PricingEngine::restore_state(std::span<const double> schedule_flat,
   updates_ = static_cast<std::size_t>(updates);
   cycle_max_delta_ = residual;
   converged_ = converged;
-  total_load_kw_ = total_load_kw;
+  total_load_kw_ = total_load;
 }
 
 std::vector<double> PricingEngine::others_load(std::size_t player) const {
@@ -64,18 +64,15 @@ std::vector<double> PricingEngine::others_load(std::size_t player) const {
 }
 
 void PricingEngine::apply_exact(std::size_t player, double admitted) {
-  // Mirror of SmartGrid::handle (src/core/distributed.cc): the service's
-  // bit-identity contract with the in-process driver depends on this exact
-  // arithmetic.  SortedLoads::fill_into is property-tested bit-identical to
-  // water_fill's row (tests/test_water_filling.cc), so swapping the
-  // allocating call for the arena fill preserves the contract pinned by
-  // tests/test_svc.cc.
+  // Lemma IV.1 against the other players' column totals, then Eq. 8-9 on
+  // the same b.  SortedLoads::fill_into is property-tested bit-identical to
+  // water_fill's row (tests/test_water_filling.cc).
   schedule_.column_totals_excluding_into(player, scratch_others_);
   scratch_sorted_.reassign(scratch_others_);
   scratch_sorted_.fill_into(util::kw(admitted), scratch_applied_.row);
   schedule_.set_row(player, scratch_applied_.row);
   scratch_applied_.payment =
-      core::externality_payment(cost_, scratch_others_, scratch_applied_.row);
+      externality_payment(cost_, scratch_others_, scratch_applied_.row);
 }
 
 void PricingEngine::apply_mean_field(std::size_t player, double admitted) {
@@ -96,10 +93,10 @@ void PricingEngine::apply_mean_field(std::size_t player, double admitted) {
 }
 
 const PricingEngine::Applied& PricingEngine::apply(std::size_t player,
-                                                   double total_kw) {
-  OLEV_HOT_REGION("svc.engine.apply");
+                                                   double request) {
+  OLEV_HOT_REGION("core.engine.apply");
   const double previous = schedule_.row_total(player);
-  const double admitted = std::clamp(total_kw, 0.0, caps_[player]);
+  const double admitted = std::clamp(request, 0.0, caps_[player]);
   if (config_.mode == EngineMode::kMeanField) {
     apply_mean_field(player, admitted);
   } else {
@@ -124,4 +121,4 @@ const PricingEngine::Applied& PricingEngine::apply(std::size_t player,
   return scratch_applied_;
 }
 
-}  // namespace olev::svc
+}  // namespace olev::core

@@ -143,8 +143,6 @@ SweepRun run_sweep_reported(const std::vector<ScenarioSpec>& specs,
     const SweepResult& result = run.results[i];
     if (result.result.converged) ++report.converged;
     report.total_updates += result.result.updates;
-    caches.response_cache_hits += result.result.caches.response_cache_hits;
-    caches.response_recomputes += result.result.caches.response_recomputes;
     caches.section_cost_reuses += result.result.caches.section_cost_reuses;
     caches.section_cost_refreshes += result.result.caches.section_cost_refreshes;
     updates.push_back(static_cast<double>(result.result.updates));
@@ -154,7 +152,6 @@ SweepRun run_sweep_reported(const std::vector<ScenarioSpec>& specs,
     ++worker.scenarios;
     worker.busy_seconds += timings[i].seconds;
   }
-  report.response_hit_ratio = caches.response_hit_ratio();
   report.section_reuse_ratio = caches.section_reuse_ratio();
   for (SweepWorkerStats& worker : report.workers) {
     worker.utilization =
@@ -192,8 +189,8 @@ std::string SweepReport::to_text() const {
                 scenarios, total_updates);
   text += line;
   std::snprintf(line, sizeof(line),
-                "  caches: response hit %.1f%%, section reuse %.1f%%\n",
-                100.0 * response_hit_ratio, 100.0 * section_reuse_ratio);
+                "  caches: section reuse %.1f%%\n",
+                100.0 * section_reuse_ratio);
   text += line;
   std::snprintf(line, sizeof(line), "  pool utilization %.1f%%\n",
                 100.0 * worker_utilization());

@@ -80,8 +80,7 @@ struct SweepReport {
   std::size_t total_updates = 0;
   double wall_seconds = 0.0;
   double scenarios_per_second = 0.0;
-  double response_hit_ratio = 0.0;    ///< over all scenarios' CacheCounters
-  double section_reuse_ratio = 0.0;
+  double section_reuse_ratio = 0.0;  ///< over all scenarios' CacheCounters
   obs::HistogramSnapshot updates_per_scenario;
   obs::HistogramSnapshot solve_millis;  ///< per-scenario solve wall time
   std::vector<SweepWorkerStats> workers;

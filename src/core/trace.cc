@@ -64,7 +64,6 @@ std::string to_json(const SweepReport& report) {
   json.key("total_updates").value(report.total_updates);
   json.key("wall_seconds").value(report.wall_seconds);
   json.key("scenarios_per_second").value(report.scenarios_per_second);
-  json.key("response_hit_ratio").value(report.response_hit_ratio);
   json.key("section_reuse_ratio").value(report.section_reuse_ratio);
   json.key("worker_utilization").value(report.worker_utilization());
 

@@ -23,18 +23,6 @@ double social_welfare(std::span<const std::unique_ptr<Satisfaction>> players,
   return welfare;
 }
 
-double total_payments(const SectionCost& z, const PowerSchedule& schedule) {
-  double total = 0.0;
-  for (std::size_t n = 0; n < schedule.players(); ++n) {
-    const auto others = schedule.column_totals_excluding(n);
-    const auto row = schedule.row(n);
-    for (std::size_t c = 0; c < schedule.sections(); ++c) {
-      total += z.value(others[c] + row[c]) - z.value(others[c]);
-    }
-  }
-  return total;
-}
-
 CongestionReport congestion_report(const PowerSchedule& schedule,
                                    util::Kilowatts p_line) {
   const std::vector<double> loads = schedule.column_totals();

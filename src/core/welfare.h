@@ -27,10 +27,6 @@ namespace olev::core {
 double social_welfare(std::span<const std::unique_ptr<Satisfaction>> players,
                       const SectionCost& z, const PowerSchedule& schedule);
 
-/// Total payment collected from all players at the current schedule
-/// (sum of externality payments; used for the Fig. 5(a) payment metric).
-double total_payments(const SectionCost& z, const PowerSchedule& schedule);
-
 struct CongestionReport {
   std::vector<double> per_section;  ///< P_c / P_line
   double mean = 0.0;

@@ -1,7 +1,8 @@
 #include "net/message.h"
 
-#include <cstring>
 #include <stdexcept>
+
+#include "util/bytes.h"
 
 namespace olev::net {
 namespace {
@@ -14,84 +15,15 @@ enum class Tag : std::uint8_t {
   kControl = 5,
 };
 
-class Writer {
- public:
-  void u8(std::uint8_t v) { bytes_.push_back(v); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-  }
-  void f64_vector(const std::vector<double>& values) {
-    u32(static_cast<std::uint32_t>(values.size()));
-    for (double v : values) f64(v);
-  }
-  std::vector<std::uint8_t> take() { return std::move(bytes_); }
-
- private:
-  std::vector<std::uint8_t> bytes_;
-};
-
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  std::uint8_t u8() { return take(1)[0]; }
-  std::uint32_t u32() {
-    const auto b = take(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-    return v;
-  }
-  std::uint64_t u64() {
-    const auto b = take(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-    return v;
-  }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  std::vector<double> f64_vector() {
-    const std::uint32_t count = u32();
-    // Sanity cap: one million sections is far past any realistic corridor;
-    // reject rather than allocate unbounded memory from a corrupt length.
-    if (count > 1'000'000) throw std::runtime_error("message: vector too long");
-    if (bytes_.size() - offset_ < static_cast<std::size_t>(count) * 8) {
-      throw std::runtime_error("message: truncated vector");
-    }
-    std::vector<double> values;
-    values.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) values.push_back(f64());
-    return values;
-  }
-  bool exhausted() const { return offset_ == bytes_.size(); }
-
- private:
-  std::span<const std::uint8_t> take(std::size_t n) {
-    if (bytes_.size() - offset_ < n) throw std::runtime_error("message: truncated");
-    const auto view = bytes_.subspan(offset_, n);
-    offset_ += n;
-    return view;
-  }
-
-  std::span<const std::uint8_t> bytes_;
-  std::size_t offset_ = 0;
-};
+/// Entry bound on a message vector: one million sections is far past any
+/// realistic corridor, so a larger count is corrupt and is rejected rather
+/// than allowed to size a buffer.
+constexpr std::size_t kMaxVectorEntries = 1'000'000;
 
 }  // namespace
 
 std::vector<std::uint8_t> serialize(const Message& message) {
-  Writer w;
+  util::ByteWriter w;
   std::visit(
       [&w](const auto& msg) {
         using T = std::decay_t<decltype(msg)>;
@@ -105,7 +37,7 @@ std::vector<std::uint8_t> serialize(const Message& message) {
           w.u8(static_cast<std::uint8_t>(Tag::kPaymentFunction));
           w.u32(msg.player);
           w.u64(msg.round);
-          w.f64_vector(msg.others_load_kw);
+          w.counted<std::uint32_t>(msg.others_load_kw);
         } else if constexpr (std::is_same_v<T, PowerRequestMsg>) {
           w.u8(static_cast<std::uint8_t>(Tag::kPowerRequest));
           w.u32(msg.player);
@@ -117,7 +49,7 @@ std::vector<std::uint8_t> serialize(const Message& message) {
           w.u8(static_cast<std::uint8_t>(Tag::kSchedule));
           w.u32(msg.player);
           w.u64(msg.round);
-          w.f64_vector(msg.row_kw);
+          w.counted<std::uint32_t>(msg.row_kw);
           w.f64(msg.payment);
           w.u64(msg.trace_id);
           w.u32(msg.phases.admit_us);
@@ -136,7 +68,7 @@ std::vector<std::uint8_t> serialize(const Message& message) {
 }
 
 Message deserialize(std::span<const std::uint8_t> bytes) {
-  Reader r(bytes);
+  util::ByteReader r(bytes, "message");
   const auto tag = static_cast<Tag>(r.u8());
   Message message;
   switch (tag) {
@@ -153,7 +85,8 @@ Message deserialize(std::span<const std::uint8_t> bytes) {
       PaymentFunctionMsg msg;
       msg.player = r.u32();
       msg.round = r.u64();
-      msg.others_load_kw = r.f64_vector();
+      msg.others_load_kw =
+          r.counted<std::uint32_t, double>(kMaxVectorEntries);
       message = msg;
       break;
     }
@@ -171,7 +104,7 @@ Message deserialize(std::span<const std::uint8_t> bytes) {
       ScheduleMsg msg;
       msg.player = r.u32();
       msg.round = r.u64();
-      msg.row_kw = r.f64_vector();
+      msg.row_kw = r.counted<std::uint32_t, double>(kMaxVectorEntries);
       msg.payment = r.f64();
       msg.trace_id = r.u64();
       msg.phases.admit_us = r.u32();

@@ -8,8 +8,8 @@
 // literally zero instrumentation instructions on the hot path.
 //
 // Usage:
-//   OLEV_OBS_COUNTER(hits, "core.game.response_cache_hits");
-//   OLEV_OBS_ADD(hits, 1);
+//   OLEV_OBS_COUNTER(runs, "core.game.runs");
+//   OLEV_OBS_ADD(runs, 1);
 //
 //   OLEV_OBS_HISTOGRAM(iters, "core.best_response.iterations",
 //                      {0, 8, 16, 24, 32, 48, 64, 96, 128});

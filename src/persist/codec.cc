@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstdio>
-#include <cstring>
 #include <stdexcept>
 
 #include <unistd.h>  // fsync: durability half of the atomic tmp+rename write
@@ -40,14 +39,6 @@ struct File {
   throw std::runtime_error("persist: " + what + " '" + path + "'");
 }
 
-/// The encode half of the decoders' vector bound.
-void check_length(std::size_t entries) {
-  if (entries > kMaxVectorEntries) {
-    throw std::runtime_error("persist: vector of " + std::to_string(entries) +
-                             " entries exceeds the decode bound");
-  }
-}
-
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> bytes, std::uint32_t seed) {
@@ -59,99 +50,11 @@ std::uint32_t crc32(std::span<const std::uint8_t> bytes, std::uint32_t seed) {
   return ~crc;
 }
 
-void Writer::u16(std::uint16_t v) {
-  for (int i = 0; i < 2; ++i) {
-    bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+void check_vector_length(std::size_t entries) {
+  if (entries > kMaxVectorEntries) {
+    throw std::runtime_error("persist: vector of " + std::to_string(entries) +
+                             " entries exceeds the decode bound");
   }
-}
-
-void Writer::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void Writer::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void Writer::f64(double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  u64(bits);
-}
-
-void Writer::f64_vector(const std::vector<double>& values) {
-  check_length(values.size());
-  u64(static_cast<std::uint64_t>(values.size()));
-  for (const double v : values) f64(v);
-}
-
-void Writer::u32_vector(const std::vector<std::uint32_t>& values) {
-  check_length(values.size());
-  u64(static_cast<std::uint64_t>(values.size()));
-  for (const std::uint32_t v : values) u32(v);
-}
-
-std::span<const std::uint8_t> Reader::take(std::size_t n) {
-  if (bytes_.size() - offset_ < n) {
-    throw std::runtime_error("persist: truncated payload");
-  }
-  const auto view = bytes_.subspan(offset_, n);
-  offset_ += n;
-  return view;
-}
-
-std::uint16_t Reader::u16() {
-  const auto b = take(2);
-  return static_cast<std::uint16_t>(b[0] | (static_cast<std::uint16_t>(b[1]) << 8));
-}
-
-std::uint32_t Reader::u32() {
-  const auto b = take(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t Reader::u64() {
-  const auto b = take(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-  return v;
-}
-
-double Reader::f64() {
-  const std::uint64_t bits = u64();
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-std::vector<double> Reader::f64_vector(std::size_t max_count) {
-  const std::uint64_t count = u64();
-  // Length sanity before any allocation: a corrupt count must not size a
-  // buffer (same discipline as net::Reader::f64_vector).
-  if (count > max_count || remaining() < count * 8) {
-    throw std::runtime_error("persist: vector length corrupt");
-  }
-  std::vector<double> values;
-  values.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) values.push_back(f64());
-  return values;
-}
-
-std::vector<std::uint32_t> Reader::u32_vector(std::size_t max_count) {
-  const std::uint64_t count = u64();
-  if (count > max_count || remaining() < count * 4) {
-    throw std::runtime_error("persist: vector length corrupt");
-  }
-  std::vector<std::uint32_t> values;
-  values.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) values.push_back(u32());
-  return values;
 }
 
 std::vector<std::uint8_t> encode_blob(BlobKind kind,

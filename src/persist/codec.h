@@ -19,10 +19,10 @@
 // std::runtime_error; nothing here ever crashes on hostile bytes (pinned
 // under ASan by tests/test_persist_fuzz.cc).
 //
-// Like net/message.cc, multi-byte integers are little-endian and doubles
-// travel as their raw IEEE-754 bit patterns, which is what makes
-// snapshot round trips bit-identical rather than merely approximately
-// equal.
+// Payloads use the repo's one byte codec (util/bytes.h): multi-byte
+// integers are little-endian and doubles travel as their raw IEEE-754 bit
+// patterns, which is what makes snapshot round trips bit-identical rather
+// than merely approximately equal.
 //
 // File I/O note: this layer (and the sinks built on it) uses C stdio only
 // -- lint rule R5 reserves the raw read/write syscalls for src/svc, and
@@ -33,6 +33,8 @@
 #include <span>
 #include <string>
 #include <vector>
+
+#include "util/bytes.h"
 
 namespace olev::persist {
 
@@ -61,47 +63,37 @@ enum class BlobKind : std::uint8_t {
 std::uint32_t crc32(std::span<const std::uint8_t> bytes,
                     std::uint32_t seed = 0);
 
-/// Little-endian byte-sink mirroring net/message.cc's Writer; doubles are
-/// written as raw bit patterns (bit-identical round trip).  The vector
-/// writers throw std::runtime_error past kMaxVectorEntries.
-class Writer {
- public:
-  void u8(std::uint8_t v) { bytes_.push_back(v); }
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v);
-  void f64_vector(const std::vector<double>& values);
-  void u32_vector(const std::vector<std::uint32_t>& values);
-  std::vector<std::uint8_t> take() { return std::move(bytes_); }
+/// Throws std::runtime_error when a vector of `entries` is past
+/// kMaxVectorEntries (the encode half of the decoders' bound).
+void check_vector_length(std::size_t entries);
 
- private:
-  std::vector<std::uint8_t> bytes_;
+/// The byte codec (util/bytes.h) with persist's vectors: a u64 entry count,
+/// refused past kMaxVectorEntries.
+class Writer : public util::ByteWriter {
+ public:
+  void f64_vector(const std::vector<double>& values) {
+    check_vector_length(values.size());
+    counted<std::uint64_t>(values);
+  }
+  void u32_vector(const std::vector<std::uint32_t>& values) {
+    check_vector_length(values.size());
+    counted<std::uint64_t>(values);
+  }
 };
 
-/// Bounds-checked little-endian reader; every underrun throws
-/// std::runtime_error (never reads past the span).
-class Reader {
+/// Bounds-checked reader over a persist payload; every underrun or corrupt
+/// vector count throws std::runtime_error (never reads past the span).
+class Reader : public util::ByteReader {
  public:
-  explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
+  explicit Reader(std::span<const std::uint8_t> bytes)
+      : ByteReader(bytes, "persist") {}
 
-  std::uint8_t u8() { return take(1)[0]; }
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64();
-  std::vector<double> f64_vector(std::size_t max_count);
-  std::vector<std::uint32_t> u32_vector(std::size_t max_count);
-  std::size_t remaining() const { return bytes_.size() - offset_; }
-  bool exhausted() const { return offset_ == bytes_.size(); }
-
- private:
-  std::span<const std::uint8_t> take(std::size_t n);
-
-  std::span<const std::uint8_t> bytes_;
-  std::size_t offset_ = 0;
+  std::vector<double> f64_vector(std::size_t max_count) {
+    return counted<std::uint64_t, double>(max_count);
+  }
+  std::vector<std::uint32_t> u32_vector(std::size_t max_count) {
+    return counted<std::uint64_t, std::uint32_t>(max_count);
+  }
 };
 
 /// Frames `payload` as a versioned blob (header above + payload).  Throws

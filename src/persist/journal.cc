@@ -1,12 +1,13 @@
 #include "persist/journal.h"
 
+#include <bit>
 #include <cstdio>
-#include <cstring>
 #include <stdexcept>
 
 #include <unistd.h>  // fsync: the durability half of FsyncPolicy
 
 #include "obs/obs.h"
+#include "util/bytes.h"
 
 namespace olev::persist {
 namespace {
@@ -39,42 +40,31 @@ JournalHeader decode_header(std::span<const std::uint8_t> payload) {
   return header;
 }
 
-/// Serializes `record` into a caller-owned 48-byte slot (no allocation;
-/// append() runs on the service loop with a pre-reserved buffer).
+/// Serializes `record` into a caller-owned 48-byte slot at the offsets of
+/// the layout in journal.h (no allocation; append() runs on the service
+/// loop with a pre-reserved buffer).
 void encode_record(const JournalRecord& record,
                    std::uint8_t (&out)[kJournalRecordBytes]) {
-  auto put_u32 = [&out](std::size_t at, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      out[at + static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(v >> (8 * i));
-    }
-  };
-  auto put_u64 = [&out](std::size_t at, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out[at + static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(v >> (8 * i));
-    }
-  };
-  put_u64(4, static_cast<std::uint64_t>(record.ts_us));
-  put_u32(12, record.player);
-  put_u64(16, record.round);
-  std::uint64_t kw_bits;
-  std::memcpy(&kw_bits, &record.total_kw, sizeof(kw_bits));
-  put_u64(24, kw_bits);
-  put_u64(32, record.trace_id);
-  put_u64(40, static_cast<std::uint64_t>(record.client_send_us));
-  put_u32(0, crc32({out + 4, kJournalRecordBytes - 4}));
+  util::store_le(out + 4, static_cast<std::uint64_t>(record.ts_us));
+  util::store_le(out + 12, record.player);
+  util::store_le(out + 16, record.round);
+  util::store_le(out + 24, std::bit_cast<std::uint64_t>(record.total_kw));
+  util::store_le(out + 32, record.trace_id);
+  util::store_le(out + 40, static_cast<std::uint64_t>(record.client_send_us));
+  util::store_le(out, crc32({out + 4, kJournalRecordBytes - 4}));
 }
 
-JournalRecord decode_record(std::span<const std::uint8_t> bytes) {
-  Reader r(bytes.subspan(4));
+JournalRecord decode_record(const std::uint8_t* slot) {
   JournalRecord record;
-  record.ts_us = r.i64();
-  record.player = r.u32();
-  record.round = r.u64();
-  record.total_kw = r.f64();
-  record.trace_id = r.u64();
-  record.client_send_us = r.i64();
+  record.ts_us =
+      static_cast<std::int64_t>(util::load_le<std::uint64_t>(slot + 4));
+  record.player = util::load_le<std::uint32_t>(slot + 12);
+  record.round = util::load_le<std::uint64_t>(slot + 16);
+  record.total_kw =
+      std::bit_cast<double>(util::load_le<std::uint64_t>(slot + 24));
+  record.trace_id = util::load_le<std::uint64_t>(slot + 32);
+  record.client_send_us =
+      static_cast<std::int64_t>(util::load_le<std::uint64_t>(slot + 40));
   return record;
 }
 
@@ -168,13 +158,11 @@ JournalData read_journal(const std::string& path, std::uint64_t max_bytes) {
       break;
     }
     const auto slot = tail.first(kJournalRecordBytes);
-    Reader crc_reader(slot);
-    const std::uint32_t stored_crc = crc_reader.u32();
-    if (crc32(slot.subspan(4)) != stored_crc) {
+    if (crc32(slot.subspan(4)) != util::load_le<std::uint32_t>(slot.data())) {
       data.truncated = true;  // torn or corrupt record; stop, keep the rest
       break;
     }
-    data.records.push_back(decode_record(slot));
+    data.records.push_back(decode_record(slot.data()));
     tail = tail.subspan(kJournalRecordBytes);
   }
   return data;

@@ -1,13 +1,15 @@
 // Write-ahead request journal + deterministic replay source
 // (docs/PERSISTENCE.md, "Journal").
 //
-// olevd appends one fixed-size record per ADMITTED request -- exactly the
-// inputs PricingEngine::apply consumes, in admission order, plus the
-// request's TraceContext -- from the same poll(2) loop that admitted it.
-// Because Theorem IV.1's update sequence is deterministic given the
-// admission order, feeding a journal back through a fresh engine
-// (tools/olev_replay) reproduces every ScheduleMsg bit-identically:
-// any production incident becomes a local regression test.
+// olevd appends one fixed-size record per APPLIED request -- exactly the
+// inputs PricingEngine::apply consumed, in apply order, plus the request's
+// admission stamp and TraceContext -- from the poll(2) loop, right after the
+// apply and before the reply is sent.  A request that expires in the queue
+// is never applied and never journaled.  Because Theorem IV.1's update
+// sequence is deterministic given the apply order, feeding a journal back
+// through a fresh engine (tools/olev_replay) reproduces every ScheduleMsg
+// and the live schedule bit-identically: any production incident becomes a
+// local regression test.
 //
 // File layout: one persist::Codec frame (BlobKind::kJournalHeader) whose
 // payload pins the engine shape, then raw 48-byte records:
@@ -26,7 +28,7 @@
 // The writer is allocation-bounded: its buffer is reserved once in the
 // constructor and append() never allocates (it flushes first when the
 // buffer is full).  Appending is off every rtcheck-audited hot root --
-// it runs in PricingService::dispatch, not under the engine's apply().
+// it runs in PricingService::run_batch, after the engine's apply() returns.
 #pragma once
 
 #include <cstdint>
@@ -58,9 +60,9 @@ struct JournalHeader {
   bool operator==(const JournalHeader&) const = default;
 };
 
-/// One admitted request, in admission order.
+/// One applied request, in apply order.
 struct JournalRecord {
-  std::int64_t ts_us = 0;  ///< service-loop admission stamp
+  std::int64_t ts_us = 0;  ///< service-loop admission stamp (not apply time)
   std::uint32_t player = 0;
   std::uint64_t round = 0;
   double total_kw = 0.0;

@@ -27,7 +27,7 @@
 
 namespace olev::persist {
 
-/// PricingEngine state (src/svc/engine.h), engine-layer fields only.
+/// PricingEngine state (src/core/pricing_engine.h), engine-layer fields only.
 struct EngineSnapshot {
   std::uint8_t mode = 0;  ///< 0 = exact, 1 = mean-field (EngineMode order)
   std::uint64_t players = 0;

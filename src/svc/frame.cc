@@ -1,27 +1,23 @@
 #include "svc/frame.h"
 
+#include "util/bytes.h"
+
 namespace olev::svc {
 
 std::vector<std::uint8_t> encode_frame(const net::Message& message) {
   const std::vector<std::uint8_t> payload = net::serialize(message);
   std::vector<std::uint8_t> frame;
   frame.reserve(kFrameHeaderBytes + payload.size());
-  const auto length = static_cast<std::uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) {
-    frame.push_back(static_cast<std::uint8_t>(length >> (8 * i)));
-  }
+  frame.resize(kFrameHeaderBytes);
+  util::store_le(frame.data(), static_cast<std::uint32_t>(payload.size()));
   frame.insert(frame.end(), payload.begin(), payload.end());
   return frame;
 }
 
 std::optional<std::size_t> FrameDecoder::pending_length() const {
   if (buffer_.size() < kFrameHeaderBytes) return std::nullopt;
-  std::uint32_t length = 0;
-  for (int i = 0; i < 4; ++i) {
-    length |= static_cast<std::uint32_t>(buffer_[static_cast<std::size_t>(i)])
-              << (8 * i);
-  }
-  return static_cast<std::size_t>(length);
+  return static_cast<std::size_t>(
+      util::load_le<std::uint32_t>(buffer_.data()));
 }
 
 bool FrameDecoder::feed(std::span<const std::uint8_t> bytes) {

@@ -388,28 +388,6 @@ void PricingService::dispatch(const std::shared_ptr<Session>& session,
     queue_.push_back(std::move(pending));
     obs::flight::record(obs::flight::Event::kAdmit, request->player,
                         queue_.size());
-    if (journal_ != nullptr) {
-      // Write-ahead journal: the admitted request, in admission order, with
-      // its trace context -- everything olev_replay needs to reproduce the
-      // engine's update sequence bit-for-bit.  Buffered append on the same
-      // poll loop; off every rtcheck-audited hot root.
-      persist::JournalRecord record;
-      record.ts_us = now_us;
-      record.player = request->player;
-      record.round = request->round;
-      record.total_kw = request->total_kw;
-      record.trace_id = request->trace.trace_id;
-      record.client_send_us = request->trace.client_send_us;
-      try {
-        journal_->append(record);
-        ++stats_.journal_records;
-      } catch (const std::exception&) {
-        // Disk trouble must not take the pricing round down with it: close
-        // the journal, count the failure, keep serving.
-        ++stats_.journal_failures;
-        journal_.reset();
-      }
-    }
     return;
   }
 
@@ -476,6 +454,29 @@ void PricingService::run_batch(std::int64_t now_us) {
     const PricingEngine::Applied& applied =
         engine_.apply(entry.player, entry.total_kw);
     const std::int64_t solve_done_us = obs::now_micros();
+    if (journal_ != nullptr) {
+      // Journal the applied request, in apply order, with its admission
+      // stamp and trace context -- everything olev_replay needs to
+      // reproduce the engine's update sequence bit-for-bit.  Expired
+      // requests never get here, and the record lands before any reply.
+      // Buffered append on the poll loop; off every rtcheck-audited hot root.
+      persist::JournalRecord record;
+      record.ts_us = entry.arrival_us;
+      record.player = entry.player;
+      record.round = entry.round;
+      record.total_kw = entry.total_kw;
+      record.trace_id = entry.trace.trace_id;
+      record.client_send_us = entry.trace.client_send_us;
+      try {
+        journal_->append(record);
+        ++stats_.journal_records;
+      } catch (const std::exception&) {
+        // Disk trouble must not take the pricing round down with it: close
+        // the journal, count the failure, keep serving.
+        ++stats_.journal_failures;
+        journal_.reset();
+      }
+    }
     net::PhaseTimings phases;
     phases.admit_us = phase_us(entry.admit_done_us - entry.arrival_us);
     phases.queue_us = phase_us(now_us - entry.admit_done_us);

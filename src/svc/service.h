@@ -129,9 +129,10 @@ struct ServiceConfig {
   /// shape (mode/players/sections/epsilon/caps) must match this config
   /// bit-for-bit or the constructor throws.
   bool resume = false;
-  /// Non-empty opens a write-ahead request journal here: every admitted
-  /// request is appended, in admission order, with its TraceContext
-  /// (olevd --journal; tools/olev_replay feeds it back deterministically).
+  /// Non-empty opens a request journal here: every applied request is
+  /// appended, in apply order, with its TraceContext, before its reply is
+  /// sent (olevd --journal; tools/olev_replay feeds it back
+  /// deterministically).  Requests that expire unapplied are not journaled.
   std::string journal_path;
   persist::FsyncPolicy journal_fsync = persist::FsyncPolicy::kOnFlush;
 };

@@ -253,34 +253,34 @@ TEST(Game, CurrentMetricsAccessors) {
 
 TEST(CacheCounters, RatiosAreZeroWhenEmptyAndBoundedOtherwise) {
   CacheCounters counters;
-  EXPECT_DOUBLE_EQ(counters.response_hit_ratio(), 0.0);
   EXPECT_DOUBLE_EQ(counters.section_reuse_ratio(), 0.0);
 
   counters.response_cache_hits = 3;
-  counters.response_recomputes = 1;
   counters.section_cost_reuses = 1;
   counters.section_cost_refreshes = 3;
-  EXPECT_DOUBLE_EQ(counters.response_hit_ratio(), 0.75);
   EXPECT_DOUBLE_EQ(counters.section_reuse_ratio(), 0.25);
 
   counters.reset();
   EXPECT_EQ(counters.response_cache_hits, 0u);
   EXPECT_EQ(counters.section_cost_refreshes, 0u);
-  EXPECT_DOUBLE_EQ(counters.response_hit_ratio(), 0.0);
+  EXPECT_DOUBLE_EQ(counters.section_reuse_ratio(), 0.0);
 }
 
 TEST(CacheCounters, GamePopulatesRatios) {
   Game game(make_players({10.0, 20.0, 30.0}), make_cost(), 3,
             olev::util::kw(50.0));
-  // Updating the same player twice with no interleaved update leaves its b
-  // vector untouched, so the second call MUST be a response-cache hit.
   (void)game.update_player(0);
-  (void)game.update_player(0);
+  const CacheCounters first = game.cache_counters();
+  EXPECT_EQ(first.section_cost_refreshes, 3u);
+  // Updating the same player again with no interleaved update re-solves the
+  // same b to the same row: the request does not move, and commit_row finds
+  // every section's load unchanged, so all three cost cells are reused.
+  EXPECT_EQ(game.update_player(0), 0.0);
   const CacheCounters& counters = game.cache_counters();
-  EXPECT_EQ(counters.response_recomputes, 1u);
-  EXPECT_EQ(counters.response_cache_hits, 1u);
-  EXPECT_DOUBLE_EQ(counters.response_hit_ratio(), 0.5);
-  EXPECT_LE(counters.section_reuse_ratio(), 1.0);
+  EXPECT_EQ(counters.section_cost_reuses - first.section_cost_reuses, 3u);
+  EXPECT_EQ(counters.section_cost_refreshes, first.section_cost_refreshes);
+  EXPECT_DOUBLE_EQ(counters.section_reuse_ratio(), 0.5);
+  EXPECT_EQ(counters.response_cache_hits + counters.response_recomputes, 0u);
 }
 
 }  // namespace

@@ -594,6 +594,22 @@ TEST(Persist, LoadgenReconnectModeStaysCleanAcrossReattach) {
   EXPECT_EQ(runner.service.stats().sessions_resumed, 8u);
 }
 
+/// The schedule an exact engine shaped by `data`'s header reaches by
+/// applying every journaled request in order (what olev_replay does).
+std::vector<double> replayed_schedule(const JournalData& data) {
+  svc::EngineConfig config;
+  config.players = data.header.players;
+  config.sections = data.header.sections;
+  config.epsilon = data.header.epsilon;
+  config.caps_kw = data.header.caps_kw;
+  svc::PricingEngine engine(make_cost(), config);
+  for (const JournalRecord& record : data.records) {
+    (void)engine.apply(record.player, record.total_kw);
+  }
+  const std::span<const double> flat = engine.schedule().flat();
+  return {flat.begin(), flat.end()};
+}
+
 TEST(Persist, ServiceJournalCapturesEveryAdmissionForReplay) {
   TempPath journal("svc_journal.bin");
   svc::ServiceConfig config = service_config(4, 3, svc::EngineMode::kExact);
@@ -620,21 +636,48 @@ TEST(Persist, ServiceJournalCapturesEveryAdmissionForReplay) {
   EXPECT_FALSE(data.truncated);
   ASSERT_EQ(data.records.size(), 120u);
   // Replaying the journal reproduces the daemon's final schedule bits.
-  svc::EngineConfig engine_cfg;
-  engine_cfg.players = data.header.players;
-  engine_cfg.sections = data.header.sections;
-  engine_cfg.epsilon = data.header.epsilon;
-  engine_cfg.caps_kw = data.header.caps_kw;
-  svc::PricingEngine replayed(make_cost(), engine_cfg);
-  for (const JournalRecord& record : data.records) {
-    (void)replayed.apply(record.player, record.total_kw);
-  }
-  EXPECT_TRUE(same_bits(replayed.schedule().flat(), served_flat));
+  EXPECT_TRUE(same_bits(replayed_schedule(data), served_flat));
   // Every record carries its trace context (loadgen always sends one).
   for (const JournalRecord& record : data.records) {
     EXPECT_NE(record.trace_id, 0u);
     EXPECT_NE(record.client_send_us, 0);
   }
+}
+
+TEST(Persist, ServiceJournalHoldsOnlyAppliedRequests) {
+  // The batch window outlasts the request deadline, so requests expire in
+  // the queue without reaching the engine.  The journal must hold exactly
+  // the applied ones, or its replay diverges from the live schedule.
+  TempPath journal("svc_journal_expired.bin");
+  svc::ServiceConfig config = service_config(4, 3, svc::EngineMode::kExact);
+  config.journal_path = journal.path;
+  config.batch_window_s = 0.02;
+  config.request_deadline_s = 0.005;
+  std::vector<double> served_flat;
+  svc::ServiceStats stats;
+  {
+    ServiceRunner runner(make_cost(), config);
+    svc::LoadgenConfig load;
+    load.port = runner.service.port();
+    load.connections = 4;
+    load.players = 4;
+    load.requests_per_connection = 10;
+    load.seed = 78;
+    const svc::LoadgenReport report = run_loadgen(load);
+    ASSERT_TRUE(report.clean()) << report.to_json();
+    runner.stop();
+    const std::span<const double> flat = runner.service.schedule().flat();
+    served_flat.assign(flat.begin(), flat.end());
+    stats = runner.service.stats();
+  }
+  EXPECT_GT(stats.deadline_expired, 0u);
+  EXPECT_EQ(stats.journal_records, stats.requests_served);
+  EXPECT_EQ(stats.journal_failures, 0u);
+
+  const JournalData data = read_journal(journal.path);
+  EXPECT_FALSE(data.truncated);
+  ASSERT_EQ(data.records.size(), stats.requests_served);
+  EXPECT_TRUE(same_bits(replayed_schedule(data), served_flat));
 }
 
 // --- interrupted grid-paced game matches the uninterrupted one ---------------

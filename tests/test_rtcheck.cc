@@ -27,9 +27,9 @@
 #include "core/cost.h"
 #include "core/game.h"
 #include "core/mean_field.h"
+#include "core/pricing_engine.h"
 #include "core/satisfaction.h"
 #include "obs/flight.h"
-#include "svc/engine.h"
 #include "util/audit.h"
 #include "util/hot.h"
 
@@ -216,10 +216,10 @@ TEST(HotPathsClean, EngineConvergenceRecordsFlightEventWithoutAllocating) {
   // recorder and the interposer must stay silent.
   audit::reset_hot_alloc_violations();
   olev::obs::flight::reset();
-  olev::svc::EngineConfig config;
+  olev::core::EngineConfig config;
   config.players = 3;
   config.sections = 4;
-  olev::svc::PricingEngine engine(make_cost(), config);
+  olev::core::PricingEngine engine(make_cost(), config);
   for (int round = 0; round < 4 && !engine.converged(); ++round) {
     for (std::size_t player = 0; player < config.players; ++player) {
       engine.apply(player, 12.0);
@@ -239,13 +239,13 @@ TEST(HotPathsClean, EngineConvergenceRecordsFlightEventWithoutAllocating) {
 
 TEST(HotPathsClean, PricingEngineServesWithoutHotAllocations) {
   audit::reset_hot_alloc_violations();
-  olev::svc::EngineConfig config;
+  olev::core::EngineConfig config;
   config.players = 4;
   config.sections = 6;
-  olev::svc::PricingEngine engine(make_cost(), config);
+  olev::core::PricingEngine engine(make_cost(), config);
   for (int round = 0; round < 8; ++round) {
     for (std::size_t player = 0; player < config.players; ++player) {
-      const olev::svc::PricingEngine::Applied& applied =
+      const olev::core::PricingEngine::Applied& applied =
           engine.apply(player, 10.0 + static_cast<double>(player));
       EXPECT_EQ(applied.row.size(), config.sections);
     }

@@ -168,6 +168,25 @@ TEST(Simulation, ObserverSeesEveryStep) {
   EXPECT_EQ(counter.steps, 10);
 }
 
+TEST(Simulation, ObserverArrivalHookFiresExactlyOnce) {
+  struct Counter : StepObserver {
+    int arrivals = 0;
+    void on_step(const StepView&) override {}
+    void on_vehicle_arrived(const Vehicle&, double) override { ++arrivals; }
+  };
+  Vehicle olev;
+  olev.type = VehicleType::olev();
+  olev.route = {0};
+  olev.is_olev = true;
+  Simulation sim(straight_road(400.0), deterministic_config());
+  Counter counter;
+  sim.add_observer(&counter);
+  ASSERT_TRUE(sim.try_insert(olev));
+  sim.run_until(120.0);
+  sim.run_until(240.0);  // no further arrivals
+  EXPECT_EQ(counter.arrivals, 1);
+}
+
 TEST(Simulation, FindVehicleById) {
   Simulation sim(straight_road(), deterministic_config());
   ASSERT_TRUE(sim.try_insert(single_vehicle({0})));

@@ -115,7 +115,6 @@ TEST(Trace, SweepReportSerializesEveryField) {
   report.total_updates = 123;
   report.wall_seconds = 2.0;
   report.scenarios_per_second = 2.0;
-  report.response_hit_ratio = 0.25;
   report.section_reuse_ratio = 0.75;
   report.workers.resize(2);
   report.workers[0] = {0, 3, 1.5, 0.75};
@@ -128,7 +127,7 @@ TEST(Trace, SweepReportSerializesEveryField) {
   EXPECT_NE(json.find("\"scenarios\":4"), std::string::npos);
   EXPECT_NE(json.find("\"threads\":2"), std::string::npos);
   EXPECT_NE(json.find("\"converged\":3"), std::string::npos);
-  EXPECT_NE(json.find("\"response_hit_ratio\":0.25"), std::string::npos);
+  EXPECT_NE(json.find("\"section_reuse_ratio\":0.75"), std::string::npos);
   // sum(busy) / (threads * wall) = 2.0 / 4.0
   EXPECT_NE(json.find("\"worker_utilization\":0.5"), std::string::npos);
   EXPECT_NE(json.find("\"busy_seconds\":1.5"), std::string::npos);

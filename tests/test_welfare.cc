@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/game.h"
+
 namespace olev::core {
 namespace {
 
@@ -62,30 +64,29 @@ TEST(SocialWelfare, PlayerCountMismatchThrows) {
   EXPECT_THROW(social_welfare(players, z, schedule), std::invalid_argument);
 }
 
-TEST(TotalPayments, ZeroScheduleZeroPayments) {
-  const SectionCost z = make_cost();
-  PowerSchedule schedule(2, 2);
-  EXPECT_DOUBLE_EQ(total_payments(z, schedule), 0.0);
-}
-
-TEST(TotalPayments, SinglePlayerEqualsExternality) {
-  const SectionCost z = make_cost();
-  PowerSchedule schedule(1, 2);
-  schedule.set(0, 0, 5.0);
-  const double expected = z.value(5.0) - z.value(0.0);
-  EXPECT_NEAR(total_payments(z, schedule), expected, 1e-12);
-}
-
 TEST(TotalPayments, ExceedsTotalCostIncreaseWithManyPlayers) {
   // Each player pays its externality against the *other* players' load, so
-  // total payments over-recover the cost increase (standard VCG property
-  // under convex costs).
+  // the payments of Game's fixed point over-recover the cost increase
+  // (standard VCG property under convex costs).
+  std::vector<PlayerSpec> players;
+  for (const double weight : {10.0, 20.0, 30.0}) {
+    PlayerSpec player;
+    player.satisfaction = std::make_unique<LogSatisfaction>(weight);
+    player.p_max = olev::util::kw(60.0);
+    players.push_back(std::move(player));
+  }
+  Game game(std::move(players), make_cost(), 2, olev::util::kw(50.0));
+  const GameResult result = game.run();
+  ASSERT_TRUE(result.converged);
+  double payments = 0.0;
+  for (const double payment : result.payments) payments += payment;
   const SectionCost z = make_cost();
-  PowerSchedule schedule(2, 1);
-  schedule.set(0, 0, 10.0);
-  schedule.set(1, 0, 10.0);
-  const double cost_increase = z.value(20.0) - z.value(0.0);
-  EXPECT_GE(total_payments(z, schedule), cost_increase - 1e-9);
+  double cost_increase = 0.0;
+  for (const double load : result.schedule.column_totals()) {
+    cost_increase += z.value(load) - z.value(0.0);
+  }
+  EXPECT_GT(cost_increase, 0.0);
+  EXPECT_GE(payments, cost_increase - 1e-9);
 }
 
 TEST(CongestionReport, PerSectionDegrees) {

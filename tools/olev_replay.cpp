@@ -1,12 +1,14 @@
-// olev_replay: deterministic headless replay of an olevd write-ahead journal.
+// olev_replay: deterministic headless replay of an olevd request journal.
 //
 // Reads a journal written by `olevd --journal`, reconstructs the pricing
 // engine from the journal header (mode, shape, epsilon, caps), applies every
-// admitted request in log order, and folds the serialized ScheduleMsg bytes
-// of each reply into an FNV-1a 64 hash.  Because the engine is deterministic
-// and the journal captures admission order, two replays of the same journal
-// -- or a replay against the hash captured from a previous one -- must agree
-// bit-for-bit.  The CI persist job gates on exactly that via --expect-hash.
+// journaled request in log order, and folds the serialized ScheduleMsg bytes
+// of each reply into an FNV-1a 64 hash.  The journal holds exactly the
+// requests the daemon applied, in apply order, so the replay reaches the
+// daemon's schedule; and because the engine is deterministic, two replays of
+// the same journal -- or a replay against the hash captured from a previous
+// one -- must agree bit-for-bit.  The CI persist job gates on exactly that
+// via --expect-hash.
 //
 //   $ ./olev_replay --journal j.bin
 //   $ ./olev_replay --journal j.bin --expect-hash 0x1234abcd5678ef90
@@ -26,10 +28,10 @@
 #include <vector>
 
 #include "core/cost.h"
+#include "core/pricing_engine.h"
 #include "net/message.h"
 #include "obs/strings.h"
 #include "persist/journal.h"
-#include "svc/engine.h"
 #include "util/config.h"
 #include "util/quantity.h"
 
@@ -146,22 +148,22 @@ int main(int argc, char** argv) {
         olev::core::OverloadCost{options.overload_weight},
         olev::util::kw(options.p_line_kw));
 
-    olev::svc::EngineConfig engine_config;
+    olev::core::EngineConfig engine_config;
     engine_config.players = journal.header.players;
     engine_config.sections = journal.header.sections;
     engine_config.epsilon = journal.header.epsilon;
     engine_config.caps_kw = journal.header.caps_kw;
     engine_config.mode = journal.header.mode == 1
-                             ? olev::svc::EngineMode::kMeanField
-                             : olev::svc::EngineMode::kExact;
-    olev::svc::PricingEngine engine(std::move(cost), engine_config);
+                             ? olev::core::EngineMode::kMeanField
+                             : olev::core::EngineMode::kExact;
+    olev::core::PricingEngine engine(std::move(cost), engine_config);
 
     std::uint64_t hash = kFnvOffset;
     std::uint64_t replayed = 0;
     for (const olev::persist::JournalRecord& record : journal.records) {
-      const olev::svc::PricingEngine::Applied& applied =
+      const olev::core::PricingEngine::Applied& applied =
           engine.apply(record.player, record.total_kw);
-      // Reconstruct the reply olevd sent for this admission.  Phase timings
+      // Reconstruct the reply olevd sent for this request.  Phase timings
       // are wall-clock noise, not game state; they are zeroed so the hash
       // covers exactly the deterministic outputs (allocation + payment +
       // routing echoes).

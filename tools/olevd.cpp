@@ -86,7 +86,7 @@ void usage(const char* argv0) {
       << "                       SIGTERM drain (atomic tmp+rename)\n"
       << "  --resume             reload --snapshot-path at boot and resume\n"
       << "                       the round at the exact announce cursor\n"
-      << "  --journal P          append every admitted request to the\n"
+      << "  --journal P          append every applied request to the\n"
       << "                       write-ahead journal P (olev_replay input)\n"
       << "  --journal-fsync M    journal durability: none, flush (default),\n"
       << "                       or record (fsync per record)\n"

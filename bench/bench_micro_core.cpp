@@ -56,7 +56,7 @@ void BM_WaterFillBisect(benchmark::State& state) {
 BENCHMARK(BM_WaterFillBisect)->Arg(10)->Arg(100)->Arg(1000);
 
 void BM_WaterFillPresorted(benchmark::State& state) {
-  // The best-response bisection's query pattern: b sorted once, many totals.
+  // A pre-sorted b filled at many totals: sorted once, O(C) per fill.
   const auto loads = random_loads(static_cast<std::size_t>(state.range(0)), 1);
   const core::SortedLoads sorted(loads);
   for (auto _ : state) {

@@ -7,8 +7,19 @@
 //
 // with F(p) = U_n(p) - Psi_n(p) strictly concave, so F'(p) = U'_n(p) -
 // Z'(lambda*(p)) is strictly decreasing and the interior root is unique.
-// The solver uses clamped bisection on F' and then re-derives the row
-// allocation by water-filling at p*.
+//
+// Lemma IV.1 makes lambda*(p) piecewise linear: with the loads sorted,
+// s_0 <= ... <= s_{C-1}, and S_k = s_0 + ... + s_{k-1}, the level is
+// lambda = (p + S_k) / k while k sections are loaded, i.e. for p between the
+// breakpoints q_{k-1} and q_k = k * s_k - S_k.  The solver binary-searches
+// the breakpoints for the segment holding the sign change of F' (the test at
+// q_k is U'(q_k) - Z'(s_k), no water level to find), then runs a safeguarded
+// Illinois secant on that one segment, where the level needs no search.  The
+// secant works on the ratio form 1 - Z'(lambda(p)) / U'(p), which has F''s
+// sign wherever U' > 0 and, for the paper's log U and quadratic V, is a
+// quadratic in p; while the bracket reaches past a satiation point (U' <= 0)
+// it interpolates F' itself.  The row allocation is then re-derived by
+// water-filling at p*.
 #pragma once
 
 #include <span>
@@ -24,12 +35,17 @@ struct BestResponse {
   WaterFillResult allocation;   ///< water-filled row at p_star
   double payment = 0.0;         ///< Psi_n(p_star)
   double utility = 0.0;         ///< F_n(p_star) = U_n - Psi_n
+  /// F' evaluations of an interior solve (breakpoint tests plus secant
+  /// steps); 0 for a corner.
   int iterations = 0;
   enum class Case { kCornerZero, kCornerCap, kInterior } kind = Case::kInterior;
 };
 
 struct BestResponseOptions {
+  /// Stop once |1 - Z'(lambda(p)) / U'(p)| <= tolerance and the last secant
+  /// step moved p by at most tolerance * max(1, p).
   double tolerance = 1e-9;
+  /// Cap on the interior solve's F' evaluations.
   int max_iterations = 200;
 };
 
@@ -40,30 +56,28 @@ struct BestResponseOptions {
                                          Kilowatts p_max,
                                          const BestResponseOptions& options = {});
 
-/// Hot-path variant against a pre-sorted b.  b is sorted once by the caller;
-/// every bisection step then finds the water level in O(log C) instead of
-/// O(C log C).  Bit-identical to the span overload (which delegates here).
+/// Variant against a pre-sorted b, sorted once by the caller.  Bit-identical
+/// to the span overload (which delegates here).
 [[nodiscard]] BestResponse best_response(const Satisfaction& u, const SectionCost& z,
                                          const SortedLoads& others_load,
                                          Kilowatts p_max,
                                          const BestResponseOptions& options = {});
 
-/// Allocation-free result of best_response_into: everything BestResponse
-/// carries except the row, which the caller owns.
+/// Allocation-free result of best_response_into: the row (which the caller
+/// owns) and the Eq. 9 payment are left out; the BestResponse overloads
+/// charge the payment themselves.
 struct BestResponseScalars {
   double p_star = 0.0;
   double level = 0.0;           ///< lambda* at p_star
-  double payment = 0.0;
-  double utility = 0.0;
   int active_sections = 0;
-  int iterations = 0;
+  int iterations = 0;           ///< as BestResponse::iterations
   BestResponse::Case kind = BestResponse::Case::kInterior;
 };
 
 /// Real-time core of the solver (util/hot.h): writes the row allocation at
 /// p* into `row` (length must equal others_load.size()) and never touches
 /// the allocator.  The SortedLoads overload of best_response delegates here,
-/// so results are bit-identical.
+/// so p* and the row are bit-identical.
 [[nodiscard]] OLEV_HOT BestResponseScalars best_response_into(
     const Satisfaction& u, const SectionCost& z,
     const SortedLoads& others_load, Kilowatts p_max, std::span<double> row,

@@ -177,13 +177,17 @@ double Game::update_waterfill(std::size_t player,
     const BestResponseScalars response =
         best_response_into(*players_[player].satisfaction, cost_,
                            scratch_sorted_, players_[player].p_max, row);
+#if OLEV_AUDIT_ENABLED
     // Eq. 8-9: the externality payment of a non-negative allocation against
-    // a nondecreasing Z is non-negative (VCG individual rationality).
-    OLEV_AUDIT_FINITE(response.payment, "update_waterfill: payment");
-    OLEV_AUDIT_CHECK(response.payment >= -1e-9,
+    // a nondecreasing Z is non-negative (VCG individual rationality).  Only
+    // the audit reads the payment, so only the audit pays for it.
+    const double payment = externality_payment(cost_, others, row);
+    OLEV_AUDIT_FINITE(payment, "update_waterfill: payment");
+    OLEV_AUDIT_CHECK(payment >= -1e-9,
                      "update_waterfill: negative externality payment " +
-                         std::to_string(response.payment) + " for player " +
+                         std::to_string(payment) + " for player " +
                          std::to_string(player));
+#endif
     OLEV_AUDIT_CHECK(response.p_star >= 0.0 &&
                          response.p_star <= players_[player].p_max.value() + 1e-12,
                      "update_waterfill: best response " +

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace olev::core {
@@ -54,28 +55,45 @@ double HeteroGame::update_player(std::size_t player) {
   const Satisfaction& u = *players_[player].satisfaction;
   const double p_max = players_[player].p_max.value();
 
-  // Psi'(p) = rho*(p): marginal price of the generalized fill at total p.
-  auto marginal_at = [&](double total) {
-    return generalized_fill(cost_pointers_, others, util::kw(total)).marginal;
+  // The best response is solved in price space.  The generalized fill at
+  // marginal price rho takes D(rho) = sum_c [(Z_c')^{-1}(rho) - b_c]^+, which
+  // rises in rho, while the player wants (U')^{-1}(rho), which falls; they
+  // meet at rho* = Psi'(p*) = U'(p*).
+  auto volume_at = [&](double rho) {
+    double volume = 0.0;
+    for (std::size_t c = 0; c < costs_.size(); ++c) {
+      volume += std::max(0.0, costs_[c].derivative_inverse(rho) - others[c]);
+    }
+    return volume;
   };
+  // rho*(0) = Psi'(0): the cheapest section's marginal price at b.
+  double rho_zero = std::numeric_limits<double>::infinity();
+  for (std::size_t c = 0; c < costs_.size(); ++c) {
+    rho_zero = std::min(rho_zero, costs_[c].derivative(others[c]));
+  }
 
   double p_star;
-  if (p_max <= 0.0 || u.derivative(0.0) <= marginal_at(0.0)) {
+  const double u_zero = u.derivative(0.0);
+  const double u_cap = u.derivative(p_max);
+  if (p_max <= 0.0 || u_zero <= rho_zero) {
     p_star = 0.0;
-  } else if (u.derivative(p_max) >= marginal_at(p_max)) {
+  } else if (volume_at(u_cap) >= p_max) {
+    // Psi'(p_max) <= U'(p_max): the fill at U'(p_max) already holds p_max.
     p_star = p_max;
   } else {
-    double lo = 0.0;
-    double hi = p_max;
-    for (int it = 0; it < 80 && hi - lo > 1e-7; ++it) {
+    // D - (U')^{-1} is negative at lo (D(rho_zero) = 0, or (U')^{-1} = p_max
+    // above D at U'(p_max)) and positive at hi ((U')^{-1}(U'(0)) = 0).
+    double lo = std::max(rho_zero, u_cap);
+    double hi = u_zero;
+    for (int it = 0; it < 200 && hi - lo > 1e-13 * hi; ++it) {
       const double mid = 0.5 * (lo + hi);
-      if (u.derivative(mid) > marginal_at(mid)) {
+      if (volume_at(mid) < u.derivative_inverse(mid)) {
         lo = mid;
       } else {
         hi = mid;
       }
     }
-    p_star = 0.5 * (lo + hi);
+    p_star = std::clamp(u.derivative_inverse(0.5 * (lo + hi)), 0.0, p_max);
   }
 
   const GeneralizedFillResult fill =

@@ -54,10 +54,11 @@ struct WaterFillResult {
 /// A pre-sorted view of an others-load vector b for repeated water-fill
 /// queries against the same (or nearly the same) b.
 ///
-/// The best-response bisection evaluates Psi_n'(p) = Z'(lambda*(p)) dozens
-/// of times against one fixed b; re-sorting b on every evaluation made each
-/// query O(C log C).  SortedLoads sorts once, keeps fold-left prefix sums of
-/// the sorted loads, and answers
+/// A best response evaluates Psi_n'(p) = Z'(lambda*(p)) several times
+/// against one fixed b; re-sorting b on every evaluation made each query
+/// O(C log C).  SortedLoads sorts once, keeps fold-left prefix sums of the
+/// sorted loads (exposed read-only, so the best response can walk the
+/// breakpoints of lambda*(p) itself), and answers
 ///   - level_for(total) in O(log C)  (binary search over the active count),
 ///   - fill_into(...)   in O(C)      (one pass into a caller buffer, no
 ///                                    allocation),
@@ -92,6 +93,14 @@ class SortedLoads {
   bool empty() const { return size_ == 0; }
   /// b in its original section order.
   std::span<const double> values() const { return {values_.data(), size_}; }
+  /// b ascending: s_0 <= ... <= s_{C-1}.
+  std::span<const double> sorted() const { return {sorted_.data(), size_}; }
+  /// Fold-left prefix sums of sorted(): prefix()[k] = s_0 + ... + s_{k-1},
+  /// so prefix()[0] = 0 and the span holds size() + 1 entries (none before
+  /// the first assign or reserve).
+  std::span<const double> prefix() const {
+    return {prefix_.data(), prefix_.empty() ? 0 : size_ + 1};
+  }
 
   /// lambda* for the given total; bit-identical to water_fill().level.
   [[nodiscard]] OLEV_HOT double level_for(Kilowatts total) const;

@@ -343,6 +343,12 @@ void PricingService::dispatch(const std::shared_ptr<Session>& session,
         announced_at_us_ = 0;  // forces a retransmit on the next loop pass
       }
     }
+    // CONVERGED goes out once, to the sessions bound at that moment; a
+    // player binding after it would otherwise wait for an announcement that
+    // never comes.
+    if (config_.announce && converged_broadcast_ && !draining_) {
+      send_converged(session);
+    }
     return;
   }
 
@@ -530,11 +536,7 @@ void PricingService::maybe_announce(std::int64_t now_us) {
       converged_broadcast_ = true;
       for (const auto& session : sessions_) {
         if (session->dead || !session->has_player) continue;
-        net::ControlMsg notice;
-        notice.code = net::ControlCode::kConverged;
-        notice.player = session->player;
-        notice.round = static_cast<std::uint64_t>(engine_.updates());
-        send_message(session, notice);
+        send_converged(session);
       }
     }
     return;
@@ -559,6 +561,14 @@ void PricingService::maybe_announce(std::int64_t now_us) {
   announced_player_ = static_cast<std::uint32_t>(cursor);
   announced_round_ = round;
   announced_at_us_ = now_us;
+}
+
+void PricingService::send_converged(const std::shared_ptr<Session>& session) {
+  net::ControlMsg notice;
+  notice.code = net::ControlCode::kConverged;
+  notice.player = session->player;
+  notice.round = static_cast<std::uint64_t>(engine_.updates());
+  send_message(session, notice);
 }
 
 void PricingService::begin_drain(std::int64_t now_us) {

@@ -222,6 +222,7 @@ class PricingService {
   void expire_overdue(std::int64_t now_us);
   void run_batch(std::int64_t now_us);
   void maybe_announce(std::int64_t now_us);
+  void send_converged(const std::shared_ptr<Session>& session);
   void begin_drain(std::int64_t now_us);
   void reap_idle(std::int64_t now_us);
   void remove_dead_sessions();

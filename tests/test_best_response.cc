@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -15,6 +17,45 @@ namespace {
 SectionCost make_cost(double beta = 8.0, double cap = 50.0) {
   return SectionCost(std::make_unique<NonlinearPricing>(beta, 0.875, cap),
                      OverloadCost{1.5}, olev::util::kw(cap));
+}
+
+/// Lemma IV.3 by plain bisection on the public F', run far past the
+/// solver's tolerance: the reference the segment solver is checked against.
+double reference_p_star(const Satisfaction& u, const SectionCost& z,
+                        const std::vector<double>& b, double p_max) {
+  auto f_prime = [&](double p) {
+    return utility_derivative(u, z, b, olev::util::kw(p));
+  };
+  if (p_max == 0.0 || f_prime(0.0) <= 0.0) return 0.0;
+  if (f_prime(p_max) >= 0.0) return p_max;
+  double lo = 0.0;
+  double hi = p_max;
+  for (int it = 0; it < 200 && hi - lo > 1e-13 * std::max(1.0, hi); ++it) {
+    const double mid = 0.5 * (lo + hi);
+    (f_prime(mid) > 0.0 ? lo : hi) = mid;
+  }
+  return 0.5 * (lo + hi);
+}
+
+/// F' evaluations an interior solve may take: a binary search over the C
+/// breakpoints plus a short secant.  Bisection to 1e-9 takes 33-40.
+int evaluation_bound(std::size_t sections) {
+  const double log2_c = std::ceil(std::log2(static_cast<double>(sections)));
+  return 2 * static_cast<int>(log2_c) + 20;
+}
+
+/// p* agrees with the reference, and an interior solve stays within the
+/// evaluation bound.
+void expect_matches_reference(const BestResponse& r, const Satisfaction& u,
+                              const SectionCost& z,
+                              const std::vector<double>& b, double p_max) {
+  const double expected = reference_p_star(u, z, b, p_max);
+  EXPECT_NEAR(r.p_star, expected, 1e-9 * std::max(1.0, expected));
+  if (r.kind == BestResponse::Case::kInterior) {
+    EXPECT_LE(r.iterations, evaluation_bound(b.size()));
+  } else {
+    EXPECT_EQ(r.iterations, 0);
+  }
 }
 
 TEST(BestResponse, RequiresStrictConvexity) {
@@ -136,6 +177,9 @@ TEST(BestResponse, MonotoneInSatisfactionWeight) {
 }
 
 TEST(BestResponse, RandomizedOptimality) {
+  // Every instance is solved for the Log, Sqrt and Quadratic families (the
+  // quadratic's satiation point falls below p_max in some of them); each
+  // p* must beat a grid scan and match the reference bisection.
   util::Rng rng(2024);
   for (int trial = 0; trial < 100; ++trial) {
     const auto sections = static_cast<std::size_t>(rng.uniform_int(1, 12));
@@ -143,18 +187,104 @@ TEST(BestResponse, RandomizedOptimality) {
     for (double& v : b) v = rng.uniform(0.0, 30.0);
     const double cap = rng.uniform(10.0, 80.0);
     const SectionCost z = make_cost(rng.uniform(1.0, 20.0), cap);
-    LogSatisfaction u(rng.uniform(1.0, 50.0));
+    const double weight = rng.uniform(1.0, 50.0);
     const double p_max = rng.uniform(1.0, 150.0);
-    const BestResponse r = best_response(u, z, b, olev::util::kw(p_max));
-    ASSERT_GE(r.p_star, 0.0);
-    ASSERT_LE(r.p_star, p_max + 1e-9);
-    auto f = [&](double p) { return u.value(p) - payment_of_total(z, b, olev::util::kw(p)); };
-    for (int i = 0; i <= 50; ++i) {
-      const double p = p_max * i / 50.0;
-      EXPECT_LE(f(p), r.utility + 1e-6)
-          << "trial " << trial << " alternative p=" << p;
+    const double satiation = rng.uniform(5.0, 200.0);
+    const LogSatisfaction log_u(weight);
+    const SqrtSatisfaction sqrt_u(weight);
+    const QuadraticSatisfaction quadratic_u(weight, satiation);
+    for (const Satisfaction* u :
+         {static_cast<const Satisfaction*>(&log_u),
+          static_cast<const Satisfaction*>(&sqrt_u),
+          static_cast<const Satisfaction*>(&quadratic_u)}) {
+      const BestResponse r = best_response(*u, z, b, olev::util::kw(p_max));
+      ASSERT_GE(r.p_star, 0.0);
+      ASSERT_LE(r.p_star, p_max + 1e-9);
+      auto f = [&](double p) {
+        return u->value(p) - payment_of_total(z, b, olev::util::kw(p));
+      };
+      for (int i = 0; i <= 50; ++i) {
+        const double p = p_max * i / 50.0;
+        EXPECT_LE(f(p), r.utility + 1e-6)
+            << "trial " << trial << " alternative p=" << p;
+      }
+      expect_matches_reference(r, *u, z, b, p_max);
     }
   }
+}
+
+// --- the segment solver's edge cases ----------------------------------------
+
+TEST(SegmentSolver, AllLoadsEqualMakesEveryBreakpointZero) {
+  const SectionCost z = make_cost();
+  const LogSatisfaction u(30.0);
+  const std::vector<double> b(7, 4.0);
+  const BestResponse r = best_response(u, z, b, olev::util::kw(200.0));
+  ASSERT_EQ(r.kind, BestResponse::Case::kInterior);
+  EXPECT_EQ(r.allocation.active_sections, 7);
+  expect_matches_reference(r, u, z, b, 200.0);
+}
+
+TEST(SegmentSolver, SingleSection) {
+  const SectionCost z = make_cost();
+  for (const double load : {0.0, 7.5, 40.0}) {
+    const SqrtSatisfaction u(25.0);
+    const std::vector<double> b{load};
+    const BestResponse r = best_response(u, z, b, olev::util::kw(150.0));
+    ASSERT_EQ(r.kind, BestResponse::Case::kInterior) << "b=" << load;
+    expect_matches_reference(r, u, z, b, 150.0);
+  }
+}
+
+TEST(SegmentSolver, RootExactlyAtABreakpoint) {
+  // Choose the weight so that F'(q_1) = 0 at q_1 = s_1 - s_0 = 6, where the
+  // level reaches the second load: U'(6) = w / 7 = Z'(8).
+  const SectionCost z = make_cost();
+  const std::vector<double> b{2.0, 8.0, 20.0};
+  const double q1 = 6.0;
+  const LogSatisfaction u(z.derivative(8.0) * (1.0 + q1));
+  const BestResponse r = best_response(u, z, b, olev::util::kw(100.0));
+  ASSERT_EQ(r.kind, BestResponse::Case::kInterior);
+  EXPECT_NEAR(r.p_star, q1, 1e-9 * q1);
+  expect_matches_reference(r, u, z, b, 100.0);
+}
+
+TEST(SegmentSolver, CapInsideTheFirstSegment) {
+  // q_1 = 60 lies beyond p_max = 30: the root is on segment 1, bracketed by
+  // 0 and p_max, and no breakpoint needs testing.
+  const SectionCost z = make_cost();
+  const std::vector<double> b{10.0, 70.0};
+  const LogSatisfaction u(6.0);
+  const BestResponse r = best_response(u, z, b, olev::util::kw(30.0));
+  ASSERT_EQ(r.kind, BestResponse::Case::kInterior);
+  EXPECT_EQ(r.allocation.active_sections, 1);
+  expect_matches_reference(r, u, z, b, 30.0);
+}
+
+TEST(SegmentSolver, OverloadHingeActive) {
+  // Safety cap 10 kW under loads of 12-15 kW: the water level sits above the
+  // cap, so Z' carries the overload term A' on the root's segment.
+  const SectionCost z = make_cost(/*beta=*/2.0, /*cap=*/10.0);
+  const std::vector<double> b{12.0, 15.0, 13.0};
+  const LogSatisfaction u(40.0);
+  const BestResponse r = best_response(u, z, b, olev::util::kw(100.0));
+  ASSERT_EQ(r.kind, BestResponse::Case::kInterior);
+  EXPECT_GT(r.allocation.level, z.cap_kw());
+  expect_matches_reference(r, u, z, b, 100.0);
+}
+
+TEST(SegmentSolver, QuadraticSatiationBelowCap) {
+  // U' < 0 past the satiation point 30 < p_max = 60, where 1 - Z'/U' loses
+  // F''s sign; the solver must still land on the true root, not on p_max.
+  const SectionCost z = make_cost();
+  const std::vector<double> b{1.0, 3.0, 5.0};
+  const QuadraticSatisfaction u(2.0, 30.0);
+  const BestResponse r = best_response(u, z, b, olev::util::kw(60.0));
+  ASSERT_EQ(r.kind, BestResponse::Case::kInterior);
+  EXPECT_NEAR(r.p_star, 24.72, 0.01);
+  EXPECT_NEAR(utility_derivative(u, z, b, olev::util::kw(r.p_star)), 0.0,
+              1e-8);
+  expect_matches_reference(r, u, z, b, 60.0);
 }
 
 TEST(UtilityDerivative, MatchesComponents) {

@@ -443,5 +443,50 @@ TEST(Service, GridPacedSessionMatchesDistributedDriverBitExactly) {
   }
 }
 
+TEST(Service, PlayerBindingAfterConvergenceHearsConverged) {
+  // CONVERGED is broadcast once, to the sessions bound at that moment; a
+  // player that binds afterwards (a reconnect, or a client that was slow to
+  // beacon after a resume) must still hear it instead of waiting out its
+  // recv timeout.
+  const std::vector<double> weights{10.0, 20.0, 15.0};
+  ServiceConfig config;
+  config.players = weights.size();
+  config.sections = 3;
+  config.announce = true;
+  config.batch_window_s = 0.0005;
+  ServiceRunner runner(config);
+
+  const core::SectionCost cost = make_cost();
+  std::vector<LockstepClient> clients(weights.size());
+  std::vector<std::thread> threads;
+  for (std::size_t n = 0; n < weights.size(); ++n) {
+    threads.emplace_back([&, n] {
+      clients[n].run(runner.service.port(), static_cast<std::uint32_t>(n),
+                     weights[n], cost);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t n = 0; n < weights.size(); ++n) {
+    ASSERT_TRUE(clients[n].saw_converged) << "player " << n;
+  }
+
+  ServiceClient late = runner.connect();
+  net::BeaconMsg beacon;
+  beacon.player = 1;
+  late.send(beacon);
+  bool saw_converged = false;
+  while (const auto message = late.recv(2.0)) {
+    const auto* control = std::get_if<net::ControlMsg>(&*message);
+    if (control != nullptr && control->code == net::ControlCode::kConverged) {
+      EXPECT_EQ(control->player, 1u);
+      saw_converged = true;
+      break;
+    }
+  }
+  EXPECT_TRUE(saw_converged);
+  runner.stop();
+  EXPECT_TRUE(runner.service.game_converged());
+}
+
 }  // namespace
 }  // namespace olev::svc

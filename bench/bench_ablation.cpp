@@ -4,13 +4,16 @@
 //   (2) the overload-cost weight: what enforces the eta safety cap;
 //   (3) update order (round-robin vs. uniform random): same fixed point,
 //       different update counts;
-//   (4) safety factor eta: achievable congestion degree tracks eta.
+//   (4) safety factor eta: achievable congestion degree tracks eta;
+//   (5) a heterogeneous corridor (mixed speed limits): one cost per section.
+// Every game must converge: one that stops at max_updates makes the run exit
+// 1, so the exit status gates each ablation end to end.
 
 #include <iostream>
 
 #include "bench_util.h"
 
-#include "core/hetero_game.h"
+#include "core/game.h"
 #include "core/scenario.h"
 #include "core/sweep.h"
 #include "util/csv.h"
@@ -64,12 +67,22 @@ int main() {
   const auto sweep = core::run_sweep(specs);
   std::size_t at = 0;
 
+  bool all_converged = true;
+  auto check = [&all_converged](bool converged, int ablation) {
+    if (!converged) {
+      std::cerr << "bench_ablation: a game in ablation " << ablation
+                << " did not converge\n";
+      all_converged = false;
+    }
+  };
+
   std::cout << "=== Ablation 1: alpha sweep (paper fixes alpha = 0.875) ===\n";
   {
     util::Table table({"alpha", "unit_payment_$per_MWh", "mean_degree",
                        "welfare"});
     for (double alpha : kAlphas) {
       const core::SweepResult& point = sweep[at++];
+      check(point.result.converged, 1);
       table.add_row_numeric({alpha, point.unit_payment_per_mwh,
                              point.result.congestion.mean,
                              point.result.welfare},
@@ -112,6 +125,7 @@ int main() {
       core::Game game(std::move(players), cost, config.num_sections,
                       olev::util::kw(scenario.p_line_kw()));
       const auto result = game.run();
+      check(result.converged, 2);
       table.add_row_numeric({scale, result.congestion.mean,
                              result.congestion.max,
                              result.congestion.max - config.eta},
@@ -128,6 +142,7 @@ int main() {
     util::Table table({"order", "updates_to_converge", "welfare"});
     for (auto order : kOrders) {
       const core::GameResult& result = sweep[at++].result;
+      check(result.converged, 3);
       table.add_row({order == core::UpdateOrder::kRoundRobin ? "round-robin"
                                                              : "uniform-random",
                      util::fmt(static_cast<double>(result.updates), 0),
@@ -144,6 +159,7 @@ int main() {
     util::Table table({"eta", "mean_degree", "total_power_kW"});
     for (double eta : kEtas) {
       const core::GameResult& result = sweep[at++].result;
+      check(result.converged, 4);
       table.add_row_numeric({eta, result.congestion.mean,
                              result.schedule.total()},
                             3);
@@ -159,7 +175,7 @@ int main() {
   {
     // Three section groups on roads with different speed limits: Eq. (1)
     // gives each a different P_line and hence a different cost curve.  The
-    // generalized game equalizes *marginal prices*, not loads.
+    // per-section game equalizes *marginal prices*, not loads.
     const double beta = 16.0;
     wpt::ChargingSectionSpec spec;
     const double speeds_mph[] = {30.0, 45.0, 60.0};
@@ -181,16 +197,17 @@ int main() {
       player.p_max = olev::util::kw(60.0);
       players.push_back(std::move(player));
     }
-    core::HeteroGame game(std::move(players), costs, p_lines);
+    core::Game game(std::move(players), costs, p_lines);
     const auto result = game.run();
+    check(result.converged, 5);
 
     util::Table table({"speed_mph", "P_line_kW", "load_kW", "degree",
                        "marginal_$per_MWh"});
     for (std::size_t c = 0; c < 3; ++c) {
       const double load = result.schedule.column_total(c);
       table.add_row_numeric({speeds_mph[c], p_lines[c], load,
-                             load / p_lines[c],
-                             1000.0 * result.marginal_prices[c]},
+                             result.congestion.per_section[c],
+                             1000.0 * costs[c].derivative(load)},
                             2);
     }
     bench::emit(table, "ablation_heterogeneous");
@@ -200,5 +217,5 @@ int main() {
                  "condition, vs. the uniform case where flat *loads* are\n"
                  "optimal.\n";
   }
-  return 0;
+  return all_converged ? 0 : 1;
 }

@@ -65,20 +65,6 @@ void BM_WaterFillPresorted(benchmark::State& state) {
 }
 BENCHMARK(BM_WaterFillPresorted)->Arg(10)->Arg(100)->Arg(1000);
 
-void BM_SortedLoadsUpdateOne(benchmark::State& state) {
-  // Single-entry refresh: O(C) memmove instead of an O(C log C) re-sort.
-  const auto loads = random_loads(static_cast<std::size_t>(state.range(0)), 1);
-  core::SortedLoads sorted(loads);
-  util::Rng rng(11);
-  for (auto _ : state) {
-    const auto index = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(loads.size()) - 1));
-    sorted.update_one(index, rng.uniform(0.0, 50.0));
-    benchmark::DoNotOptimize(sorted.level_for(olev::util::kw(100.0)));
-  }
-}
-BENCHMARK(BM_SortedLoadsUpdateOne)->Arg(100)->Arg(1000);
-
 void BM_PaymentOfTotal(benchmark::State& state) {
   const auto loads = random_loads(static_cast<std::size_t>(state.range(0)), 2);
   const core::SectionCost z = make_cost();

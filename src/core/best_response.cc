@@ -40,6 +40,12 @@ obs::Histogram& g_obs_iterations = obs::Registry::instance().histogram(
 
 namespace {
 
+// The interior solve stops once |1 - Z'(lambda(p)) / U'(p)| <= kTolerance
+// and the last secant step moved p by at most kTolerance * max(1, p), or
+// after kMaxEvaluations F' evaluations.
+constexpr double kTolerance = 1e-9;
+constexpr int kMaxEvaluations = 200;
+
 // One end of the root bracket: a total p, F'(p) = U'(p) - Z'(lambda(p)) and
 // the ratio form g(p) = 1 - Z'(lambda(p)) / U'(p).  g has F''s sign only
 // where U'(p) > 0 (`ratio`); past a satiation point U' <= 0, and there
@@ -60,8 +66,7 @@ BracketEnd bracket_end(double p, double u_prime, double z_prime) {
 // Adds its F' evaluations to `evaluations`.
 double interior_root(const Satisfaction& u, const SectionCost& z,
                      const SortedLoads& others_load, BracketEnd lo,
-                     const BracketEnd cap, const BestResponseOptions& options,
-                     int& evaluations) {
+                     const BracketEnd cap, int& evaluations) {
   const std::span<const double> sorted = others_load.sorted();
   const std::span<const double> prefix = others_load.prefix();
 
@@ -118,14 +123,14 @@ double interior_root(const Satisfaction& u, const SectionCost& z,
 
   // Illinois: regula falsi, halving the weight of an end kept twice in a
   // row so neither end stalls.  It interpolates g, or F' itself while hi
-  // lies past a satiation point.  Converged once |g| <= tolerance and the
+  // lies past a satiation point.  Converged once |g| <= kTolerance and the
   // secant through the last two trial points moves p by at most
-  // tolerance * max(1, p); p* is that secant step's landing point.
+  // kTolerance * max(1, p); p* is that secant step's landing point.
   double lo_weight = 1.0;
   double hi_weight = 1.0;
   enum class Moved { kNone, kLo, kHi } moved = Moved::kNone;
   BracketEnd last;
-  while (evaluations < options.max_iterations) {
+  while (evaluations < kMaxEvaluations) {
     const double y_lo = lo_weight * (hi.ratio ? lo.g : lo.f);
     const double y_hi = hi_weight * (hi.ratio ? hi.g : hi.f);
     const double p = hi.p - y_hi * (hi.p - lo.p) / (y_hi - y_lo);
@@ -135,9 +140,9 @@ double interior_root(const Satisfaction& u, const SectionCost& z,
     const BracketEnd at =
         bracket_end(p, u_prime, z.derivative((p + loaded) / active));
     if (at.f == 0.0) return p;
-    if (at.ratio && last.ratio && std::abs(at.g) <= options.tolerance) {
+    if (at.ratio && last.ratio && std::abs(at.g) <= kTolerance) {
       const double step = at.g * (at.p - last.p) / (at.g - last.g);
-      if (std::abs(step) <= options.tolerance * std::max(1.0, p)) {
+      if (std::abs(step) <= kTolerance * std::max(1.0, p)) {
         return std::clamp(p - step, lo.p, hi.p);
       }
     }
@@ -170,18 +175,17 @@ double utility_derivative(const Satisfaction& u, const SectionCost& z,
 }
 
 BestResponse best_response(const Satisfaction& u, const SectionCost& z,
-                           std::span<const double> others_load, Kilowatts p_max,
-                           const BestResponseOptions& options) {
-  return best_response(u, z, SortedLoads(others_load), p_max, options);
+                           std::span<const double> others_load,
+                           Kilowatts p_max) {
+  return best_response(u, z, SortedLoads(others_load), p_max);
 }
 
 BestResponse best_response(const Satisfaction& u, const SectionCost& z,
-                           const SortedLoads& others_load, Kilowatts p_max_kw,
-                           const BestResponseOptions& options) {
+                           const SortedLoads& others_load, Kilowatts p_max_kw) {
   BestResponse response;
   response.allocation.row.resize(others_load.size());
-  const BestResponseScalars scalars = best_response_into(
-      u, z, others_load, p_max_kw, response.allocation.row, options);
+  const BestResponseScalars scalars =
+      best_response_into(u, z, others_load, p_max_kw, response.allocation.row);
   response.p_star = scalars.p_star;
   response.allocation.level = scalars.level;
   response.allocation.active_sections = scalars.active_sections;
@@ -197,8 +201,8 @@ BestResponse best_response(const Satisfaction& u, const SectionCost& z,
 BestResponseScalars best_response_into(const Satisfaction& u,
                                        const SectionCost& z,
                                        const SortedLoads& others_load,
-                                       Kilowatts p_max_kw, std::span<double> row,
-                                       const BestResponseOptions& options) {
+                                       Kilowatts p_max_kw,
+                                       std::span<double> row) {
   const double p_max = p_max_kw.value();
   if (p_max < 0.0) {
     util::hot_fail_invalid_argument("best_response: negative p_max");
@@ -228,7 +232,7 @@ BestResponseScalars best_response_into(const Satisfaction& u,
     } else {
       result.p_star = interior_root(
           u, z, others_load, bracket_end(0.0, u_zero, z_zero),
-          bracket_end(p_max, u_cap, z_cap), options, result.iterations);
+          bracket_end(p_max, u_cap, z_cap), result.iterations);
       result.kind = BestResponse::Case::kInterior;
     }
   }

@@ -41,27 +41,17 @@ struct BestResponse {
   enum class Case { kCornerZero, kCornerCap, kInterior } kind = Case::kInterior;
 };
 
-struct BestResponseOptions {
-  /// Stop once |1 - Z'(lambda(p)) / U'(p)| <= tolerance and the last secant
-  /// step moved p by at most tolerance * max(1, p).
-  double tolerance = 1e-9;
-  /// Cap on the interior solve's F' evaluations.
-  int max_iterations = 200;
-};
-
 /// Solves Lemma IV.3 for one player.  `p_max` is P_OLEV_n (Eq. 2-3);
 /// `others_load` is b.  Requires a strictly convex section cost.
 [[nodiscard]] BestResponse best_response(const Satisfaction& u, const SectionCost& z,
                                          std::span<const double> others_load,
-                                         Kilowatts p_max,
-                                         const BestResponseOptions& options = {});
+                                         Kilowatts p_max);
 
 /// Variant against a pre-sorted b, sorted once by the caller.  Bit-identical
 /// to the span overload (which delegates here).
 [[nodiscard]] BestResponse best_response(const Satisfaction& u, const SectionCost& z,
                                          const SortedLoads& others_load,
-                                         Kilowatts p_max,
-                                         const BestResponseOptions& options = {});
+                                         Kilowatts p_max);
 
 /// Allocation-free result of best_response_into: the row (which the caller
 /// owns) and the Eq. 9 payment are left out; the BestResponse overloads
@@ -80,8 +70,7 @@ struct BestResponseScalars {
 /// so p* and the row are bit-identical.
 [[nodiscard]] OLEV_HOT BestResponseScalars best_response_into(
     const Satisfaction& u, const SectionCost& z,
-    const SortedLoads& others_load, Kilowatts p_max, std::span<double> row,
-    const BestResponseOptions& options = {});
+    const SortedLoads& others_load, Kilowatts p_max, std::span<double> row);
 
 /// F'_n(p): marginal utility of requesting one more unit of power.
 [[nodiscard]] double utility_derivative(const Satisfaction& u, const SectionCost& z,

@@ -13,8 +13,10 @@ namespace olev::core {
 // sanctioned virtual dispatch sites below are checked independently.
 OLEV_HOT_ROOT("olev::core::NonlinearPricing::value");
 OLEV_HOT_ROOT("olev::core::NonlinearPricing::derivative");
+OLEV_HOT_ROOT("olev::core::NonlinearPricing::curvature");
 OLEV_HOT_ROOT("olev::core::LinearPricing::value");
 OLEV_HOT_ROOT("olev::core::LinearPricing::derivative");
+OLEV_HOT_ROOT("olev::core::LinearPricing::curvature");
 OLEV_HOT_ROOT("olev::core::OverloadCost::value");
 OLEV_HOT_ROOT("olev::core::OverloadCost::derivative");
 OLEV_HOT_ROOT("olev::core::SectionCost::value");
@@ -27,8 +29,8 @@ OLEV_RT_VCALL_OK("olev::core::SectionCost::derivative",
                  "CostPolicy::derivative dispatch; every override is a "
                  "registered hot root");
 OLEV_RT_VCALL_OK("olev::core::SectionCost::derivative_inverse",
-                 "CostPolicy dispatch via strictly_convex()/derivative(); "
-                 "every override is a registered hot root");
+                 "CostPolicy dispatch via curvature()/derivative(); every "
+                 "override is a registered hot root");
 
 NonlinearPricing::NonlinearPricing(double beta, double alpha, double p_ref)
     : beta_(beta), alpha_(alpha), p_ref_(p_ref) {
@@ -46,6 +48,10 @@ double NonlinearPricing::derivative(double x) const {
   return 2.0 * beta_ * (alpha_ + x / p_ref_) / p_ref_;
 }
 
+double NonlinearPricing::curvature() const {
+  return 2.0 * beta_ / (p_ref_ * p_ref_);
+}
+
 std::unique_ptr<CostPolicy> NonlinearPricing::clone() const {
   return std::make_unique<NonlinearPricing>(*this);
 }
@@ -57,6 +63,8 @@ LinearPricing::LinearPricing(double beta) : beta_(beta) {
 double LinearPricing::value(double x) const { return beta_ * x; }
 
 double LinearPricing::derivative(double /*x*/) const { return beta_; }
+
+double LinearPricing::curvature() const { return 0.0; }
 
 std::unique_ptr<CostPolicy> LinearPricing::clone() const {
   return std::make_unique<LinearPricing>(*this);
@@ -104,21 +112,13 @@ double SectionCost::derivative_inverse(double marginal) const {
         "SectionCost::derivative_inverse: Z' is constant under linear pricing "
         "with no overload cost; the water level is not identified");
   }
-  if (marginal <= derivative(0.0)) return 0.0;
-  // Grow the bracket until Z'(hi) >= marginal, then bisect.
-  double lo = 0.0;
-  double hi = std::max(1.0, cap_kw_);
-  int guard = 0;
-  while (derivative(hi) < marginal && guard++ < 200) hi *= 2.0;
-  for (int it = 0; it < 200 && (hi - lo) > 1e-12 * std::max(1.0, hi); ++it) {
-    const double mid = 0.5 * (lo + hi);
-    if (derivative(mid) < marginal) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return 0.5 * (lo + hi);
+  const double at_zero = derivative(0.0);
+  if (marginal <= at_zero) return 0.0;
+  // Below the cap Z' = Z'(0) + V'' x; above it the hinge adds 2 w (x - cap).
+  const double slope = v_->curvature();
+  const double at_cap = derivative(cap_kw_);
+  if (marginal <= at_cap) return (marginal - at_zero) / slope;
+  return cap_kw_ + (marginal - at_cap) / (slope + 2.0 * a_.weight);
 }
 
 }  // namespace olev::core

@@ -20,9 +20,12 @@ class CostPolicy {
   virtual ~CostPolicy() = default;
   virtual double value(double x) const = 0;
   virtual double derivative(double x) const = 0;
+  /// V'', constant for both policies (V is at most quadratic), so V' is
+  /// affine and SectionCost can invert Z' in closed form.
+  virtual double curvature() const = 0;
   /// True when value() is strictly convex (unique water-filling level
   /// exists).  The linear baseline returns false.
-  virtual bool strictly_convex() const = 0;
+  bool strictly_convex() const { return curvature() > 0.0; }
   virtual std::unique_ptr<CostPolicy> clone() const = 0;
 };
 
@@ -32,7 +35,7 @@ class NonlinearPricing final : public CostPolicy {
   NonlinearPricing(double beta, double alpha, double p_ref);
   double value(double x) const override;
   double derivative(double x) const override;
-  bool strictly_convex() const override { return true; }
+  double curvature() const override;
   std::unique_ptr<CostPolicy> clone() const override;
 
   double beta() const { return beta_; }
@@ -51,7 +54,7 @@ class LinearPricing final : public CostPolicy {
   explicit LinearPricing(double beta);
   double value(double x) const override;
   double derivative(double x) const override;
-  bool strictly_convex() const override { return false; }
+  double curvature() const override;
   std::unique_ptr<CostPolicy> clone() const override;
 
   double beta() const { return beta_; }
@@ -83,8 +86,9 @@ class SectionCost {
   double value(double x) const;
   double derivative(double x) const;
   /// Inverse of the derivative on [0, inf): the (Z')^{-1} of Lemma IV.1.
-  /// Requires a strictly convex V; solved by bisection with automatic
-  /// bracket growth.
+  /// Z' = V' + A' is affine on each side of the safety cap, so this is one
+  /// division on the piece holding `marginal`; 0 at or below Z'(0).
+  /// Requires a strictly convex Z (logic_error otherwise).
   double derivative_inverse(double marginal) const;
 
   bool strictly_convex() const { return v_->strictly_convex() || a_.weight > 0.0; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "core/payment.h"
@@ -25,6 +26,9 @@ OLEV_RT_VCALL_OK("olev::core::Game::commit_row",
 OLEV_RT_VCALL_OK("olev::core::Game::update_greedy",
                  "Satisfaction/CostPolicy dispatch; every override is a "
                  "registered hot root");
+OLEV_RT_VCALL_OK("olev::core::Game::update_per_section",
+                 "Satisfaction dispatch; every override is a registered hot "
+                 "root");
 
 #if OLEV_OBS_ENABLED
 namespace {
@@ -40,16 +44,56 @@ obs::Counter& g_obs_section_refreshes =
 Game::Game(std::vector<PlayerSpec> players, SectionCost cost,
            std::size_t sections, util::Kilowatts p_line, GameConfig config)
     : players_(std::move(players)),
-      cost_(std::move(cost)),
       sections_(sections),
-      p_line_kw_(p_line.value()),
+      p_lines_kw_(sections, p_line.value()),
       config_(config),
       schedule_(players_.size(), sections),
       column_totals_(sections, 0.0),
       rng_(config.seed) {
+  costs_.push_back(std::move(cost));
+  build();
+}
+
+Game::Game(std::vector<PlayerSpec> players, std::vector<SectionCost> costs,
+           std::vector<double> p_lines_kw, GameConfig config)
+    : players_(std::move(players)),
+      costs_(std::move(costs)),
+      sections_(p_lines_kw.size()),
+      p_lines_kw_(std::move(p_lines_kw)),
+      config_(config),
+      schedule_(players_.size(), sections_),
+      column_totals_(sections_, 0.0),
+      rng_(config.seed) {
+  if (costs_.size() != sections_) {
+    throw std::invalid_argument("Game: need one cost per section");
+  }
+  for (const SectionCost& cost : costs_) {
+    if (!cost.strictly_convex()) {
+      throw std::invalid_argument(
+          "Game: per-section costs must be strictly convex");
+    }
+  }
+  if (config_.scheduler != SchedulerKind::kWaterFilling) {
+    throw std::invalid_argument(
+        "Game: the greedy scheduler needs one cost for every section");
+  }
+  for (const PlayerSpec& player : players_) {
+    if (!player.allowed_sections.empty()) {
+      throw std::invalid_argument(
+          "Game: path masks need one cost for every section");
+    }
+  }
+  build();
+}
+
+void Game::build() {
   if (players_.empty()) throw std::invalid_argument("Game: need at least one player");
   if (sections_ == 0) throw std::invalid_argument("Game: need at least one section");
-  if (p_line_kw_ <= 0.0) throw std::invalid_argument("Game: p_line must be positive");
+  for (double p_line : p_lines_kw_) {
+    if (p_line <= 0.0) {
+      throw std::invalid_argument("Game: p_line must be positive");
+    }
+  }
   for (const PlayerSpec& player : players_) {
     if (player.satisfaction == nullptr) {
       throw std::invalid_argument("Game: player without satisfaction function");
@@ -69,6 +113,12 @@ Game::Game(std::vector<PlayerSpec> players, SectionCost cost,
       }
     }
   }
+  section_costs_.reserve(sections_);
+  idle_costs_.reserve(sections_);
+  for (std::size_t c = 0; c < sections_; ++c) {
+    section_costs_.push_back(&costs_[costs_.size() == 1 ? 0 : c]);
+    idle_costs_.push_back(section_costs_[c]->value(0.0));
+  }
   rebuild_caches();
 }
 
@@ -76,7 +126,7 @@ void Game::rebuild_caches() {
   column_totals_ = schedule_.column_totals();
   cost_values_.resize(sections_);
   for (std::size_t c = 0; c < sections_; ++c) {
-    cost_values_[c] = cost_.value(column_totals_[c]);
+    cost_values_[c] = section_costs_[c]->value(column_totals_[c]);
   }
   row_totals_.resize(players_.size());
   sat_values_.resize(players_.size());
@@ -119,7 +169,7 @@ void Game::commit_row(std::size_t player, std::span<const double> others,
       continue;
     }
     column_totals_[c] = updated;
-    cost_values_[c] = cost_.value(updated);
+    cost_values_[c] = section_costs_[c]->value(updated);
     ++refreshes;
   }
   caches_.section_cost_reuses += reuses;
@@ -150,7 +200,7 @@ void Game::commit_row(std::size_t player, std::span<const double> others,
               std::to_string(column_totals_[c]) + " drifted from schedule " +
               std::to_string(schedule_.column_total(c)));
       OLEV_AUDIT_CHECK(
-          cost_values_[c] == cost_.value(column_totals_[c]),
+          cost_values_[c] == section_costs_[c]->value(column_totals_[c]),
           "commit_row: stale cost cell " + std::to_string(c));
     }
     for (std::size_t n = 0; n < players_.size(); ++n) {
@@ -175,13 +225,13 @@ double Game::update_waterfill(std::size_t player,
     scratch_sorted_.reassign(others);
     std::span<double> row{scratch_row_.data(), sections_};
     const BestResponseScalars response =
-        best_response_into(*players_[player].satisfaction, cost_,
+        best_response_into(*players_[player].satisfaction, costs_.front(),
                            scratch_sorted_, players_[player].p_max, row);
 #if OLEV_AUDIT_ENABLED
     // Eq. 8-9: the externality payment of a non-negative allocation against
     // a nondecreasing Z is non-negative (VCG individual rationality).  Only
     // the audit reads the payment, so only the audit pays for it.
-    const double payment = externality_payment(cost_, others, row);
+    const double payment = externality_payment(section_costs_, others, row);
     OLEV_AUDIT_FINITE(payment, "update_waterfill: payment");
     OLEV_AUDIT_CHECK(payment >= -1e-9,
                      "update_waterfill: negative externality payment " +
@@ -213,7 +263,7 @@ double Game::update_waterfill(std::size_t player,
     scratch_sorted_.reassign({scratch_subset_.data(), admissible});
     std::span<double> subrow{scratch_subrow_.data(), admissible};
     const BestResponseScalars response =
-        best_response_into(*players_[player].satisfaction, cost_,
+        best_response_into(*players_[player].satisfaction, costs_.front(),
                            scratch_sorted_, players_[player].p_max, subrow);
     p_star = response.p_star;
     for (std::size_t i = 0; i < admissible; ++i) {
@@ -224,13 +274,75 @@ double Game::update_waterfill(std::size_t player,
   return std::abs(p_star - previous);
 }
 
+double Game::update_per_section(std::size_t player,
+                                std::span<const double> others) {
+  const double previous = row_totals_[player];
+  const Satisfaction& u = *players_[player].satisfaction;
+  const double p_max = players_[player].p_max.value();
+
+  // The best response is solved in price space.  The generalized fill at
+  // marginal price rho takes D(rho) = sum_c [(Z_c')^{-1}(rho) - b_c]^+, which
+  // rises in rho, while the player wants (U')^{-1}(rho), which falls; they
+  // meet at rho* = Psi'(p*) = U'(p*).
+  auto volume_at = [&](double rho) {
+    double volume = 0.0;
+    for (std::size_t c = 0; c < sections_; ++c) {
+      volume +=
+          std::max(0.0, section_costs_[c]->derivative_inverse(rho) - others[c]);
+    }
+    return volume;
+  };
+  // rho*(0) = Psi'(0): the cheapest section's marginal price at b.
+  double rho_zero = std::numeric_limits<double>::infinity();
+  for (std::size_t c = 0; c < sections_; ++c) {
+    rho_zero = std::min(rho_zero, section_costs_[c]->derivative(others[c]));
+  }
+
+  double p_star;
+  const double u_zero = u.derivative(0.0);
+  const double u_cap = u.derivative(p_max);
+  if (p_max <= 0.0 || u_zero <= rho_zero) {
+    p_star = 0.0;
+  } else if (volume_at(u_cap) >= p_max) {
+    // Psi'(p_max) <= U'(p_max): the fill at U'(p_max) already holds p_max.
+    p_star = p_max;
+  } else {
+    // D - (U')^{-1} is negative at lo (D(rho_zero) = 0, or (U')^{-1} = p_max
+    // above D at U'(p_max)) and positive at hi ((U')^{-1}(U'(0)) = 0).
+    double lo = std::max(rho_zero, u_cap);
+    double hi = u_zero;
+    for (int it = 0; it < 200 && hi - lo > 1e-13 * hi; ++it) {
+      const double mid = 0.5 * (lo + hi);
+      if (volume_at(mid) < u.derivative_inverse(mid)) {
+        lo = mid;
+      } else {
+        hi = mid;
+      }
+    }
+    p_star = std::clamp(u.derivative_inverse(0.5 * (lo + hi)), 0.0, p_max);
+  }
+
+  std::span<double> row{scratch_row_.data(), sections_};
+  generalized_fill_into(section_costs_, others, util::kw(p_star), row);
+#if OLEV_AUDIT_ENABLED
+  const double payment = externality_payment(section_costs_, others, row);
+  OLEV_AUDIT_FINITE(payment, "update_per_section: payment");
+  OLEV_AUDIT_CHECK(payment >= -1e-9,
+                   "update_per_section: negative externality payment " +
+                       std::to_string(payment) + " for player " +
+                       std::to_string(player));
+#endif
+  commit_row(player, others, row);
+  return std::abs(p_star - previous);
+}
+
 double Game::update_greedy(std::size_t player,
                            std::span<const double> others) {
   // Linear-pricing baseline.  Psi_n(p) = beta * p regardless of the split,
   // so the scalar best response solves U'(p) = beta directly; the grid then
   // fills sections in index order up to the safety cap (no balancing
   // incentive exists under a flat unit price).
-  const double beta = cost_.pricing().derivative(0.0);
+  const double beta = costs_.front().pricing().derivative(0.0);
   const Satisfaction& u = *players_[player].satisfaction;
   const double p_max = players_[player].p_max.value();
   double p_star;
@@ -261,7 +373,7 @@ double Game::update_greedy(std::size_t player,
   double remaining = p_star;
   for (std::size_t k = 0; k < sections_ && remaining > 0.0; ++k) {
     const std::size_t c = (offset + k) % sections_;
-    const double room = std::max(0.0, cost_.cap_kw() - others[c]);
+    const double room = std::max(0.0, costs_.front().cap_kw() - others[c]);
     const double take = std::min(room, remaining);
     scratch_row_[c] = take;
     remaining -= take;
@@ -284,6 +396,7 @@ double Game::update_player(std::size_t player) {
   OLEV_HOT_REGION("core.game.update");
   std::span<double> others{scratch_others_.data(), sections_};
   others_load_into(player, others);
+  if (costs_.size() > 1) return update_per_section(player, others);
   return config_.scheduler == SchedulerKind::kWaterFilling
              ? update_waterfill(player, others)
              : update_greedy(player, others);
@@ -305,13 +418,14 @@ double Game::current_welfare() const {
   // O(N + C) over the cached values; no satisfaction or cost re-evaluation.
   double welfare = 0.0;
   for (double satisfaction : sat_values_) welfare += satisfaction;
-  const double idle_cost = cost_.value(0.0);
-  for (double section_cost : cost_values_) welfare -= section_cost - idle_cost;
+  for (std::size_t c = 0; c < sections_; ++c) {
+    welfare -= cost_values_[c] - idle_costs_[c];
+  }
   return welfare;
 }
 
 CongestionReport Game::current_congestion() const {
-  return congestion_report(schedule_, util::Kilowatts{p_line_kw_});
+  return congestion_report(schedule_.column_totals(), p_lines_kw_);
 }
 
 GameResult Game::run(bool warm_start) {
@@ -332,10 +446,10 @@ GameResult Game::run(bool warm_start) {
   std::vector<bool> touched(players_.size(), false);
   std::size_t touched_count = 0;
   // Theorem IV.1: under the nonlinear policy W is an exact potential for
-  // the asynchronous game, so every best-response update is a weak ascent
-  // step.  The greedy baseline has no such guarantee (linear pricing never
-  // internalizes the overload cost), so the audit only arms for the
-  // water-filling scheduler.
+  // the asynchronous game (per-section corridors included), so every
+  // best-response update is a weak ascent step.  The greedy baseline has no
+  // such guarantee (linear pricing never internalizes the overload cost), so
+  // the audit only arms for the water-filling scheduler.
   OLEV_AUDIT_ONLY(double audit_welfare = current_welfare();)
 
   while (updates < config_.max_updates) {
@@ -426,7 +540,7 @@ GameResult Game::finalize(bool converged, std::size_t updates,
     for (std::size_t c = 0; c < sections_; ++c) {
       others[c] = std::max(0.0, loads[c] - row[c]);
     }
-    const double payment = externality_payment(cost_, others, row);
+    const double payment = externality_payment(section_costs_, others, row);
     // Eq. 8-9 at the fixed point: every externality payment is finite and
     // non-negative (each OLEV pays exactly the section cost its own load
     // adds; Z nondecreasing + p >= 0 makes that sum >= 0).
@@ -443,10 +557,11 @@ GameResult Game::finalize(bool converged, std::size_t updates,
     result.utilities.push_back(satisfaction - payment);
     welfare += satisfaction;
   }
-  const double idle_cost = cost_.value(0.0);
-  for (double load : loads) welfare -= cost_.value(load) - idle_cost;
+  for (std::size_t c = 0; c < sections_; ++c) {
+    welfare -= section_costs_[c]->value(loads[c]) - idle_costs_[c];
+  }
   result.welfare = welfare;
-  result.congestion = congestion_report(loads, util::Kilowatts{p_line_kw_});
+  result.congestion = congestion_report(loads, p_lines_kw_);
   return result;
 }
 

@@ -16,6 +16,13 @@
 // has no balancing incentive -- the baseline fills sections greedily in
 // index order up to the safety cap, which reproduces the unbalanced loads of
 // Figs. 5(c)/6(c).
+//
+// A *heterogeneous corridor* (mixed speed limits give each section its own
+// P_line, Eq. 1, and so its own Z_c) runs through the same engine too, built
+// with one SectionCost per section.  The grid then splits a request by
+// generalized water-filling (equal marginal prices Z_c', not equal loads),
+// and each OLEV's best response meets U'(p) at that common price.  Theorem
+// IV.1 still holds for strictly convex Z_c.
 #pragma once
 
 #include <cstdint>
@@ -107,16 +114,22 @@ struct GameResult {
 
 class Game {
  public:
-  /// `p_line` is the (uniform) raw line capacity used for congestion
-  /// normalization; the safety cap eta*P_line lives inside `cost`.
+  /// The paper's corridor: one `cost` for every section.  `p_line` is the
+  /// (uniform) raw line capacity used for congestion normalization; the
+  /// safety cap eta*P_line lives inside `cost`.
   Game(std::vector<PlayerSpec> players, SectionCost cost, std::size_t sections,
        util::Kilowatts p_line, GameConfig config = {});
+
+  /// A heterogeneous corridor: one strictly convex cost and one P_line (kW,
+  /// congestion normalization) per section.  With more than one section the
+  /// best response is solved against the generalized fill.  Path masks and
+  /// the greedy scheduler are one-cost only and rejected here.
+  Game(std::vector<PlayerSpec> players, std::vector<SectionCost> costs,
+       std::vector<double> p_lines_kw, GameConfig config = {});
 
   std::size_t players() const { return players_.size(); }
   std::size_t sections() const { return sections_; }
   const PowerSchedule& schedule() const { return schedule_; }
-  const SectionCost& cost() const { return cost_; }
-  double p_line_kw() const { return p_line_kw_; }
 
   /// Performs one asynchronous update for `player`; returns |delta p_n|.
   /// Real-time hot root (util/hot.h): after construction, updates never
@@ -138,6 +151,9 @@ class Game {
   const CacheCounters& cache_counters() const { return caches_; }
 
  private:
+  /// Constructor checks shared by both corridors, then the per-section cost
+  /// table and the caches.
+  void build();
   /// b for `player`: cached column totals minus the player's own row,
   /// written into `out` (length C).  Never allocates.
   void others_load_into(std::size_t player, std::span<double> out) const;
@@ -147,6 +163,10 @@ class Game {
   void commit_row(std::size_t player, std::span<const double> others,
                   std::span<const double> row);
   double update_waterfill(std::size_t player, std::span<const double> others);
+  /// Best response against one cost per section (price-space solve, then a
+  /// generalized fill at p*).
+  double update_per_section(std::size_t player,
+                            std::span<const double> others);
   double update_greedy(std::size_t player, std::span<const double> others);
   std::size_t pick_player();
   /// (Re)derives every cached aggregate from the current schedule.
@@ -155,14 +175,16 @@ class Game {
                       std::vector<UpdateMetrics> trajectory) const;
 
   std::vector<PlayerSpec> players_;
-  SectionCost cost_;
+  std::vector<SectionCost> costs_;  ///< one shared by all sections, or one each
   std::size_t sections_;
-  double p_line_kw_;
+  std::vector<const SectionCost*> section_costs_;  ///< Z_c per section
+  std::vector<double> idle_costs_;  ///< Z_c(0) per section
+  std::vector<double> p_lines_kw_;  ///< P_line per section
   GameConfig config_;
   PowerSchedule schedule_;
   std::vector<double> column_totals_;  ///< cached P_c, kept in sync with schedule_
   // --- incremental hot-path caches (invariants in docs/ALGORITHMS.md) ---
-  std::vector<double> cost_values_;   ///< Z(P_c) per section
+  std::vector<double> cost_values_;   ///< Z_c(P_c) per section
   std::vector<double> row_totals_;    ///< p_n per player
   std::vector<double> sat_values_;    ///< U_n(p_n) per player
   // --- pre-sized hot-path arenas (rebuild_caches sizes them; update_player

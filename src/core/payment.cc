@@ -23,9 +23,12 @@ obs::Counter& g_obs_evaluations =
 }  // namespace
 #endif
 
-double externality_payment(const SectionCost& z,
-                           std::span<const double> others_load,
-                           std::span<const double> row) {
+namespace {
+
+// Eq. 9 with section c charged through cost_of(c).
+template <typename CostOf>
+double charge(CostOf cost_of, std::span<const double> others_load,
+              std::span<const double> row) {
   if (others_load.size() != row.size()) {
     util::hot_fail_invalid_argument("externality_payment: length mismatch");
   }
@@ -36,10 +39,33 @@ double externality_payment(const SectionCost& z,
                                          std::to_string(c) + "]");
     OLEV_AUDIT_FINITE(row[c],
                       "externality_payment: row[" + std::to_string(c) + "]");
+    const SectionCost& z = cost_of(c);
     payment += z.value(others_load[c] + row[c]) - z.value(others_load[c]);
   }
   OLEV_AUDIT_FINITE(payment, "externality_payment: xi_n");
   return payment;
+}
+
+}  // namespace
+
+double externality_payment(const SectionCost& z,
+                           std::span<const double> others_load,
+                           std::span<const double> row) {
+  return charge([&z](std::size_t) -> const SectionCost& { return z; },
+                others_load, row);
+}
+
+double externality_payment(std::span<const SectionCost* const> section_costs,
+                           std::span<const double> others_load,
+                           std::span<const double> row) {
+  if (section_costs.size() != row.size()) {
+    util::hot_fail_invalid_argument("externality_payment: length mismatch");
+  }
+  return charge(
+      [section_costs](std::size_t c) -> const SectionCost& {
+        return *section_costs[c];
+      },
+      others_load, row);
 }
 
 double payment_of_total(const SectionCost& z,

@@ -25,6 +25,13 @@ namespace olev::core {
                                          std::span<const double> others_load,
                                          std::span<const double> row);
 
+/// xi_n on a corridor with one cost per section: section c is charged
+/// through section_costs[c].  Bit-identical to the one-cost overload when
+/// every entry points at the same cost.
+[[nodiscard]] double externality_payment(
+    std::span<const SectionCost* const> section_costs,
+    std::span<const double> others_load, std::span<const double> row);
+
 /// The announced payment function Psi_n evaluated at a scalar request:
 /// water-fills `total` against `others_load`, then charges the externality.
 [[nodiscard]] double payment_of_total(const SectionCost& z,

@@ -16,10 +16,10 @@ namespace olev::core {
 // members of SortedLoads and the volume evaluator are the allocation-free
 // water-filling kernel the serving path leans on.
 OLEV_HOT_ROOT("olev::core::SortedLoads::reassign");
-OLEV_HOT_ROOT("olev::core::SortedLoads::update_one");
 OLEV_HOT_ROOT("olev::core::SortedLoads::level_for");
 OLEV_HOT_ROOT("olev::core::SortedLoads::fill_into");
 OLEV_HOT_ROOT("olev::core::water_fill_volume");
+OLEV_HOT_ROOT("olev::core::generalized_fill_into");
 
 namespace {
 
@@ -137,48 +137,9 @@ void SortedLoads::reassign(std::span<const double> others_load) {
   std::copy(others_load.begin(), others_load.end(), values_.begin());
   std::copy(others_load.begin(), others_load.end(), sorted_.begin());
   std::sort(sorted_.begin(), sorted_.begin() + static_cast<std::ptrdiff_t>(size_));
-  rebuild_prefix(0);
-}
-
-void SortedLoads::rebuild_prefix(std::size_t from) {
   prefix_[0] = 0.0;
-  for (std::size_t k = std::max<std::size_t>(from, 1); k <= size_; ++k) {
+  for (std::size_t k = 1; k <= size_; ++k) {
     prefix_[k] = prefix_[k - 1] + sorted_[k - 1];
-  }
-}
-
-void SortedLoads::update_one(std::size_t index, double new_value) {
-  if (index >= size_) {
-    util::hot_fail_out_of_range("SortedLoads::update_one");
-  }
-  const double old_value = values_[index];
-  if (old_value == new_value) return;
-  values_[index] = new_value;
-  // Remove one copy of the old value and re-insert the new one by shifting
-  // the run between the two sorted positions -- the in-place equivalent of
-  // vector erase + insert (equal doubles are interchangeable, so which
-  // duplicate moves does not matter; the resulting array and prefix sums
-  // are element-for-element identical).
-  double* const first = sorted_.data();
-  double* const last = first + size_;
-  const std::size_t erased = static_cast<std::size_t>(
-      std::lower_bound(first, last, old_value) - first);
-  if (new_value > old_value) {
-    std::size_t i = erased;
-    while (i + 1 < size_ && first[i + 1] < new_value) {
-      first[i] = first[i + 1];
-      ++i;
-    }
-    first[i] = new_value;
-    rebuild_prefix(erased);
-  } else {
-    std::size_t i = erased;
-    while (i > 0 && first[i - 1] > new_value) {
-      first[i] = first[i - 1];
-      --i;
-    }
-    first[i] = new_value;
-    rebuild_prefix(i);
   }
 }
 
@@ -285,30 +246,44 @@ WaterFillResult water_fill_bisect(std::span<const double> others_load,
 
 GeneralizedFillResult generalized_fill(
     std::span<const SectionCost* const> section_costs,
-    std::span<const double> others_load, Kilowatts total_kw,
-    double tolerance) {
-  const double total = total_kw.value();
-  if (section_costs.size() != others_load.size() || section_costs.empty()) {
-    throw std::invalid_argument("generalized_fill: shape mismatch or empty");
-  }
+    std::span<const double> others_load, Kilowatts total, double tolerance) {
   for (const SectionCost* cost : section_costs) {
     if (cost == nullptr || !cost->strictly_convex()) {
       throw std::invalid_argument(
           "generalized_fill: every section needs a strictly convex cost");
     }
   }
-  if (total < 0.0) throw std::invalid_argument("generalized_fill: negative total");
-
   GeneralizedFillResult result;
-  result.row.assign(others_load.size(), 0.0);
+  result.row.resize(others_load.size());
+  result.marginal = generalized_fill_into(section_costs, others_load, total,
+                                          result.row, tolerance);
+  for (double v : result.row) {
+    if (v > 0.0) ++result.active_sections;
+  }
+  return result;
+}
 
-  // Allocation at a trial marginal price rho.
-  auto allocation_at = [&](double rho, std::vector<double>* row) {
+double generalized_fill_into(std::span<const SectionCost* const> section_costs,
+                             std::span<const double> others_load,
+                             Kilowatts total_kw, std::span<double> row,
+                             double tolerance) {
+  const double total = total_kw.value();
+  if (section_costs.size() != others_load.size() || section_costs.empty() ||
+      row.size() != others_load.size()) {
+    util::hot_fail_invalid_argument(
+        "generalized_fill_into: shape mismatch or empty");
+  }
+  if (total < 0.0) {
+    util::hot_fail_invalid_argument("generalized_fill_into: negative total");
+  }
+
+  // Allocation at a trial marginal price rho, written to `out` if non-null.
+  auto allocation_at = [&](double rho, double* out) {
     double sum = 0.0;
     for (std::size_t c = 0; c < section_costs.size(); ++c) {
       const double target = section_costs[c]->derivative_inverse(rho);
       const double fill = std::max(0.0, target - others_load[c]);
-      if (row != nullptr) (*row)[c] = fill;
+      if (out != nullptr) out[c] = fill;
       sum += fill;
     }
     return sum;
@@ -321,8 +296,8 @@ GeneralizedFillResult generalized_fill(
     lo = std::min(lo, section_costs[c]->derivative(others_load[c]));
   }
   if (total == 0.0) {
-    result.marginal = lo;
-    return result;
+    std::fill(row.begin(), row.end(), 0.0);
+    return lo;
   }
   double hi = lo + 1.0;
   int guard = 0;
@@ -339,30 +314,26 @@ GeneralizedFillResult generalized_fill(
     }
     ++iterations;
   }
-  result.marginal = 0.5 * (lo + hi);
-  result.iterations = iterations;
-  allocation_at(result.marginal, &result.row);
+  const double marginal = 0.5 * (lo + hi);
+  allocation_at(marginal, row.data());
   // Scale out the bisection dust.
   double sum = 0.0;
-  for (double v : result.row) sum += v;
+  for (double v : row) sum += v;
   if (sum > 0.0) {
     const double scale = total / sum;
-    for (double& v : result.row) v *= scale;
-  }
-  for (double v : result.row) {
-    if (v > 0.0) ++result.active_sections;
+    for (double& v : row) v *= scale;
   }
 #if OLEV_AUDIT_ENABLED
   {
     // Heterogeneous KKT contract: loaded sections equalize marginal cost at
     // rho*, idle sections already price at or above it; the row conserves
     // the request.  The band is wider than the homogeneous case because the
-    // allocation passes through derivative_inverse (its own bisection).
+    // bisection on rho stops at `tolerance`.
     namespace audit = util::audit;
     const double band = std::max(1e-6, 10.0 * tolerance);
     double audit_sum = 0.0;
-    for (std::size_t c = 0; c < result.row.size(); ++c) {
-      const double fill = result.row[c];
+    for (std::size_t c = 0; c < row.size(); ++c) {
+      const double fill = row[c];
       OLEV_AUDIT_FINITE(fill, "generalized_fill: row[" + std::to_string(c) + "]");
       OLEV_AUDIT_CHECK(fill >= 0.0,
                        "generalized_fill: negative allocation on section " +
@@ -372,18 +343,17 @@ GeneralizedFillResult generalized_fill(
           section_costs[c]->derivative(others_load[c] + fill);
       if (fill > 0.0) {
         OLEV_AUDIT_CHECK(
-            audit::close(marginal_here, result.marginal, band),
+            audit::close(marginal_here, marginal, band),
             "generalized_fill: loaded section " + std::to_string(c) +
                 " off the marginal price: Z'=" + std::to_string(marginal_here) +
-                " rho*=" + std::to_string(result.marginal));
+                " rho*=" + std::to_string(marginal));
       } else {
         OLEV_AUDIT_CHECK(
             marginal_here >=
-                result.marginal -
-                    band * std::max(1.0, std::abs(result.marginal)),
+                marginal - band * std::max(1.0, std::abs(marginal)),
             "generalized_fill: idle section " + std::to_string(c) +
                 " priced below rho*: Z'=" + std::to_string(marginal_here) +
-                " rho*=" + std::to_string(result.marginal));
+                " rho*=" + std::to_string(marginal));
       }
     }
     OLEV_AUDIT_CHECK(audit::close(audit_sum, total, std::max(1e-9, tolerance)),
@@ -392,7 +362,7 @@ GeneralizedFillResult generalized_fill(
                          std::to_string(total));
   }
 #endif
-  return result;
+  return marginal;
 }
 
 }  // namespace olev::core

@@ -61,16 +61,14 @@ struct WaterFillResult {
 /// breakpoints of lambda*(p) itself), and answers
 ///   - level_for(total) in O(log C)  (binary search over the active count),
 ///   - fill_into(...)   in O(C)      (one pass into a caller buffer, no
-///                                    allocation),
-///   - update_one(...)  in O(C)      (in-place shift instead of a full
-///                                    re-sort when a single entry of b moved).
+///                                    allocation).
 /// water_fill() is the one-shot form of fill(), so the two are bit-identical
 /// by construction (and property-tested).
 ///
-/// Real-time discipline (util/hot.h): the query/update members are hot roots
-/// of the static allocation wall.  Storage is sized by the cold members
-/// (assign / reserve); reassign and update_one then run against the reserved
-/// capacity without touching the allocator.
+/// Real-time discipline (util/hot.h): the query members and reassign are hot
+/// roots of the static allocation wall.  Storage is sized by the cold members
+/// (assign / reserve); reassign then runs against the reserved capacity
+/// without touching the allocator.
 class SortedLoads {
  public:
   SortedLoads() = default;
@@ -85,9 +83,6 @@ class SortedLoads {
   /// Re-seeds from a fresh b within previously reserved storage.  Hot: never
   /// allocates; fails (cold throw) if b exceeds the reserved capacity.
   void reassign(std::span<const double> others_load);
-  /// Replaces b[index] with new_value, repositioning it in the sorted order
-  /// with an in-place shift.  Hot: never allocates.  O(C) worst case.
-  OLEV_HOT void update_one(std::size_t index, double new_value);
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -113,8 +108,6 @@ class SortedLoads {
                             int* active_sections = nullptr) const;
 
  private:
-  void rebuild_prefix(std::size_t from);
-
   // Physical capacity is values_.size() (== sorted_.size(), and
   // prefix_.size() == capacity + 1); the live prefix is [0, size_).
   std::vector<double> values_;  ///< original order
@@ -140,12 +133,23 @@ struct GeneralizedFillResult {
   double marginal = 0.0;        ///< rho*
   std::vector<double> row;
   int active_sections = 0;
-  int iterations = 0;
 };
 class SectionCost;  // cost.h
+/// Throws std::invalid_argument on a shape mismatch, an empty b, a null or
+/// not strictly convex cost, or a negative total.  Cold convenience wrapper
+/// around generalized_fill_into (the result row allocates).
 [[nodiscard]] GeneralizedFillResult generalized_fill(
     std::span<const SectionCost* const> section_costs,
     std::span<const double> others_load, Kilowatts total,
     double tolerance = 1e-9);
+
+/// Writes the allocation at `total` into `row` (length must equal b's) and
+/// returns rho*; bit-identical to generalized_fill, which checks the costs
+/// (every one non-null and strictly convex) before delegating here.  Hot:
+/// never allocates.
+OLEV_HOT double generalized_fill_into(
+    std::span<const SectionCost* const> section_costs,
+    std::span<const double> others_load, Kilowatts total,
+    std::span<double> row, double tolerance = 1e-9);
 
 }  // namespace olev::core

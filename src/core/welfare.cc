@@ -31,13 +31,26 @@ CongestionReport congestion_report(const PowerSchedule& schedule,
 
 CongestionReport congestion_report(std::span<const double> section_loads,
                                    util::Kilowatts p_line) {
-  const double p_line_kw = p_line.value();
-  if (p_line_kw <= 0.0) {
+  if (p_line.value() <= 0.0) {
     throw std::invalid_argument("congestion_report: p_line must be positive");
+  }
+  const std::vector<double> p_lines(section_loads.size(), p_line.value());
+  return congestion_report(section_loads, p_lines);
+}
+
+CongestionReport congestion_report(std::span<const double> section_loads,
+                                   std::span<const double> p_lines_kw) {
+  if (p_lines_kw.size() != section_loads.size()) {
+    throw std::invalid_argument("congestion_report: one p_line per section");
   }
   CongestionReport report;
   report.per_section.assign(section_loads.begin(), section_loads.end());
-  for (double& load : report.per_section) load /= p_line_kw;
+  for (std::size_t c = 0; c < p_lines_kw.size(); ++c) {
+    if (p_lines_kw[c] <= 0.0) {
+      throw std::invalid_argument("congestion_report: p_line must be positive");
+    }
+    report.per_section[c] /= p_lines_kw[c];
+  }
   if (!report.per_section.empty()) {
     report.mean = util::mean_of(report.per_section);
     report.max =

@@ -44,4 +44,9 @@ struct CongestionReport {
 [[nodiscard]] CongestionReport congestion_report(
     std::span<const double> section_loads, util::Kilowatts p_line);
 
+/// Same report when each section has its own P_line (kW, one per load): a
+/// heterogeneous corridor's degree of section c is P_c / P_line_c.
+[[nodiscard]] CongestionReport congestion_report(
+    std::span<const double> section_loads, std::span<const double> p_lines_kw);
+
 }  // namespace olev::core

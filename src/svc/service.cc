@@ -104,9 +104,6 @@ PricingService::PricingService(core::SectionCost cost, ServiceConfig config)
       config_.announce_after_players > config_.players) {
     config_.announce_after_players = config_.players;
   }
-  if (config_.latency_bucket_edges_us.empty()) {
-    config_.latency_bucket_edges_us = default_latency_bucket_edges_us();
-  }
   if (config_.admin_enabled) {
     admin_listener_ = listen_on(config_.admin_port);
     admin_port_ = local_port(admin_listener_);
@@ -132,7 +129,7 @@ PricingService::PricingService(core::SectionCost cost, ServiceConfig config)
   started_us_ = obs::now_micros();
   OLEV_OBS_ONLY({
     obs::Registry& registry = obs::Registry::instance();
-    const std::vector<double>& edges = config_.latency_bucket_edges_us;
+    const std::vector<double> edges = default_latency_bucket_edges_us();
     latency_hist_ = &registry.histogram("svc.request.latency_us", edges);
     phase_admit_hist_ = &registry.histogram("svc.phase.admit_us", edges);
     phase_queue_hist_ = &registry.histogram("svc.phase.queue_us", edges);

@@ -71,11 +71,12 @@
 
 namespace olev::svc {
 
-/// Default upper bucket edges (µs) for `svc.request.latency_us` and the
-/// per-phase `svc.phase.*_us` histograms.  The sub-100µs edges resolve the
-/// regime a 0µs-window loopback service actually serves in (~100k rps lands
-/// most requests below 100µs, where the old coarse layout lumped everything
-/// into two buckets).  tests/test_admin.cc pins this layout.
+/// Upper bucket edges (µs) that every PricingService registers for
+/// `svc.request.latency_us` and the per-phase `svc.phase.*_us` histograms.
+/// The sub-100µs edges resolve the regime a 0µs-window loopback service
+/// actually serves in (~100k rps lands most requests below 100µs, where the
+/// old coarse layout lumped everything into two buckets).
+/// tests/test_admin.cc pins this layout.
 std::vector<double> default_latency_bucket_edges_us();
 
 struct ServiceConfig {
@@ -108,10 +109,6 @@ struct ServiceConfig {
   double announce_retry_s = 1.0;  ///< re-announce into silence (lost client)
 
   // Observability.
-  /// Bucket edges for the request-latency and phase histograms.  First
-  /// registration fixes the layout process-wide (obs::Registry contract);
-  /// an empty vector falls back to default_latency_bucket_edges_us().
-  std::vector<double> latency_bucket_edges_us;
   /// Read-only admin/telemetry plane (docs/SERVING.md, "Admin protocol"):
   /// a second loopback listener answering line commands ("snapshot",
   /// "health", "engine", "metrics", "flight") with one-line JSON.  Off by

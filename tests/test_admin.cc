@@ -1,11 +1,6 @@
 // The telemetry plane: latency bucket layout, the wire-level phase
 // decomposition, and the read-only admin endpoint (src/svc/admin.h) --
 // snapshots must answer live while the service is under load.
-//
-// Registration-order note: obs::Registry's first registration fixes a
-// histogram's bounds process-wide, so the custom-bucket test below runs
-// FIRST in this binary (gtest executes in declaration order) and every
-// later service in this file inherits those bounds.
 #include "svc/admin.h"
 
 #include <gtest/gtest.h>
@@ -65,34 +60,27 @@ struct ServiceRunner {
   std::thread thread;
 };
 
-// --- bucket layout (must run first; see the registration-order note) -------
+// --- bucket layout ---------------------------------------------------------
 
-TEST(LatencyBuckets, ConfiguredEdgesWinTheFirstRegistration) {
+TEST(LatencyBuckets, ServiceRegistersTheDefaultLayout) {
+  // Every service registers default_latency_bucket_edges_us() for the
+  // request-latency histogram and the five phase histograms, so the layout
+  // does not depend on which service in the process registered first.
   ServiceConfig config = admin_config();
   config.admin_enabled = false;
-  config.latency_bucket_edges_us = {1, 2, 4, 8};
   PricingService service(make_cost(), config);
   const obs::MetricsSnapshot snap = obs::Registry::instance().snapshot();
-  bool found = false;
-  for (const obs::HistogramSnapshot& h : snap.histograms) {
-    if (h.name == "svc.request.latency_us") {
-      found = true;
-      EXPECT_EQ(h.bounds, (std::vector<double>{1, 2, 4, 8}));
-    }
-  }
-  EXPECT_TRUE(found);
-  // The phase histograms share the configured layout.
   for (const char* name :
-       {"svc.phase.admit_us", "svc.phase.queue_us", "svc.phase.batch_us",
-        "svc.phase.solve_us", "svc.phase.write_us"}) {
-    bool phase_found = false;
+       {"svc.request.latency_us", "svc.phase.admit_us", "svc.phase.queue_us",
+        "svc.phase.batch_us", "svc.phase.solve_us", "svc.phase.write_us"}) {
+    bool found = false;
     for (const obs::HistogramSnapshot& h : snap.histograms) {
       if (h.name == name) {
-        phase_found = true;
-        EXPECT_EQ(h.bounds, (std::vector<double>{1, 2, 4, 8})) << name;
+        found = true;
+        EXPECT_EQ(h.bounds, default_latency_bucket_edges_us()) << name;
       }
     }
-    EXPECT_TRUE(phase_found) << name;
+    EXPECT_TRUE(found) << name;
   }
 }
 

@@ -197,17 +197,6 @@ TEST(AuditDegenerate, AllLoadsIdentical) {
   EXPECT_EQ(result.active_sections, 8);
 }
 
-TEST(AuditDegenerate, SortedLoadsUpdateOneThroughDuplicates) {
-  AuditFiringGuard guard;
-  SortedLoads sorted(std::vector<double>{3.0, 3.0, 3.0, 1.0});
-  sorted.update_one(1, 0.5);  // moves one duplicate below the old minimum
-  sorted.update_one(3, 3.0);  // re-creates the duplicate plateau
-  const WaterFillResult incremental = sorted.fill(olev::util::kw(5.0));
-  const WaterFillResult fresh = core::water_fill(sorted.values(), olev::util::kw(5.0));
-  EXPECT_EQ(incremental.row, fresh.row);
-  EXPECT_EQ(incremental.level, fresh.level);
-}
-
 TEST(AuditDegenerate, GameWithZeroCapacityAndMaskedPlayers) {
   AuditFiringGuard guard;
   // Degenerate fleet: one player that cannot draw at all, one restricted to

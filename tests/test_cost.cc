@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 namespace olev::core {
 namespace {
@@ -106,6 +107,35 @@ TEST(SectionCost, DerivativeInverseClampsBelowZero) {
   const SectionCost z = nonlinear_cost(60.0);
   EXPECT_DOUBLE_EQ(z.derivative_inverse(0.0), 0.0);
   EXPECT_DOUBLE_EQ(z.derivative_inverse(z.derivative(0.0) * 0.5), 0.0);
+}
+
+TEST(SectionCost, DerivativeInverseIsExactOnEachPiece) {
+  // Z' is affine below the cap and above it, so the inverse is closed form:
+  // Z'(Z'^{-1}(m)) = m to rounding on both pieces and exactly at the hinge.
+  // The linear baseline with a hinge has a flat first piece.
+  const SectionCost nonlinear = nonlinear_cost(60.0);
+  const SectionCost linear(std::make_unique<LinearPricing>(2.0),
+                           OverloadCost{1.0}, olev::util::kw(50.0));
+  for (const SectionCost* z : {&nonlinear, &linear}) {
+    const double at_zero = z->derivative(0.0);
+    const double at_cap = z->derivative(z->cap_kw());
+    std::vector<double> marginals{at_cap, 1.5 * at_cap, 10.0 * at_cap};
+    if (at_cap > at_zero) {
+      for (double t : {1e-6, 0.25, 0.5, 0.999}) {
+        marginals.push_back(at_zero + t * (at_cap - at_zero));
+      }
+    }
+    for (double m : marginals) {
+      const double x = z->derivative_inverse(m);
+      EXPECT_GE(x, 0.0) << "m=" << m;
+      EXPECT_NEAR(z->derivative(x), m, 1e-12 * m) << "m=" << m;
+    }
+    const double hinge = at_cap > at_zero ? z->cap_kw() : 0.0;
+    EXPECT_NEAR(z->derivative_inverse(at_cap), hinge, 1e-12 * z->cap_kw());
+    // At or below Z'(0) nothing is loaded.
+    EXPECT_EQ(z->derivative_inverse(at_zero), 0.0);
+    EXPECT_EQ(z->derivative_inverse(0.5 * at_zero), 0.0);
+  }
 }
 
 TEST(SectionCost, DerivativeInverseRejectsLinearNoOverload) {

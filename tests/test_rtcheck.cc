@@ -166,16 +166,29 @@ TEST_F(Interposer, HotBypassSuppressesTheInterposer) {
 
 // --- the production hot paths stay clean under armed regions ----------------
 //
-// Game::update_player, MeanFieldGame's kernels and PricingEngine::apply all
-// open their own OLEV_HOT_REGION in audit builds; running them to
-// convergence with the interposer live proves the arena refactor holds at
-// runtime, not just in the relocation graph.  In non-audit builds these are
-// plain smoke tests.
+// Game::update_player (one cost or one per section), MeanFieldGame's
+// kernels and PricingEngine::apply all open their own OLEV_HOT_REGION in
+// audit builds; running them to convergence with the interposer live proves
+// the arena refactor holds at runtime, not just in the relocation graph.  In
+// non-audit builds these are plain smoke tests.
 
 TEST(HotPathsClean, ExactGameRunsWithoutHotAllocations) {
   audit::reset_hot_alloc_violations();
   olev::core::Game game(make_players({10.0, 20.0, 15.0, 8.0}), make_cost(), 4,
                         olev::util::kw(50.0));
+  const olev::core::GameResult result = game.run();
+  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(audit::hot_alloc_violations(), 0u);
+}
+
+TEST(HotPathsClean, PerSectionGameRunsWithoutHotAllocations) {
+  // A heterogeneous corridor takes the price-space best response and the
+  // allocation-free generalized fill under the same armed update region.
+  audit::reset_hot_alloc_violations();
+  std::vector<olev::core::SectionCost> costs;
+  for (double cap : {20.0, 45.0, 70.0}) costs.push_back(make_cost(cap));
+  olev::core::Game game(make_players({10.0, 20.0, 15.0, 8.0}),
+                        std::move(costs), {25.0, 55.0, 85.0});
   const olev::core::GameResult result = game.run();
   EXPECT_TRUE(result.converged);
   EXPECT_EQ(audit::hot_alloc_violations(), 0u);

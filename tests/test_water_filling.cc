@@ -212,21 +212,6 @@ TEST(WaterFill, LevelExactlyAtNextLoadBoundary) {
 TEST(SortedLoads, HandlesSingleSectionAndRepeatedUpdates) {
   SortedLoads sorted(std::vector<double>{5.0});
   EXPECT_DOUBLE_EQ(sorted.level_for(olev::util::kw(2.0)), 7.0);
-  sorted.update_one(0, 1.0);
-  EXPECT_DOUBLE_EQ(sorted.level_for(olev::util::kw(2.0)), 3.0);
-  sorted.update_one(0, 1.0);  // no-op value change
-  EXPECT_DOUBLE_EQ(sorted.level_for(olev::util::kw(0.0)), 1.0);
-}
-
-TEST(SortedLoads, UpdateOneMovesEntryAcrossTies) {
-  std::vector<double> b{3.0, 3.0, 3.0, 0.5};
-  SortedLoads sorted(b);
-  sorted.update_one(1, 10.0);
-  b[1] = 10.0;
-  const SortedLoads fresh(b);
-  for (double total : {0.0, 1.0, 5.0, 50.0}) {
-    EXPECT_EQ(fresh.level_for(olev::util::kw(total)), sorted.level_for(olev::util::kw(total))) << total;
-  }
 }
 
 }  // namespace

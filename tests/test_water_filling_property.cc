@@ -7,8 +7,7 @@
 //   * every entry is non-negative;
 //   * no *inactive* section sits below the water level (a section left
 //     empty must already be loaded to at least lambda*);
-//   * SortedLoads reproduces water_fill bit-for-bit, both freshly assigned
-//     and after single-entry update_one repositioning.
+//   * SortedLoads reproduces water_fill bit-for-bit.
 
 #include "core/water_filling.h"
 
@@ -136,35 +135,6 @@ TEST(WaterFillProperty, SortedLoadsIsBitIdenticalToWaterFill) {
     for (std::size_t c = 0; c < b.size(); ++c) {
       EXPECT_EQ(reference.row[c], cached.row[c])
           << "trial " << trial << " section " << c;
-    }
-  }
-}
-
-TEST(WaterFillProperty, UpdateOneMatchesFreshSort) {
-  util::Rng rng(0x1e37);
-  for (int trial = 0; trial < 300; ++trial) {
-    const auto sections = static_cast<std::size_t>(rng.uniform_int(1, 40));
-    std::vector<double> b(sections);
-    for (double& v : b) v = rng.uniform(0.0, 60.0);
-
-    SortedLoads incremental(b);
-    for (int move = 0; move < 10; ++move) {
-      const auto index = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(sections) - 1));
-      const double value = rng.uniform(0.0, 60.0);
-      b[index] = value;
-      incremental.update_one(index, value);
-
-      const double total = rng.uniform(0.0, 200.0);
-      const SortedLoads fresh(b);
-      EXPECT_EQ(fresh.level_for(olev::util::kw(total)), incremental.level_for(olev::util::kw(total)))
-          << "trial " << trial << " move " << move;
-      const auto expect = fresh.fill(olev::util::kw(total));
-      const auto got = incremental.fill(olev::util::kw(total));
-      for (std::size_t c = 0; c < sections; ++c) {
-        EXPECT_EQ(expect.row[c], got.row[c])
-            << "trial " << trial << " move " << move << " section " << c;
-      }
     }
   }
 }

@@ -74,7 +74,7 @@ int main() {
     const Point& p = points.back();
     if (!p.report.clean()) {
       std::cerr << "bench_service: UNCLEAN run at window " << window
-                << "us\n" << p.report.to_json();
+                << "us\n" << p.report.to_json() << "\n";
       return 1;
     }
   }

@@ -339,30 +339,17 @@ double Game::update_per_section(std::size_t player,
 double Game::update_greedy(std::size_t player,
                            std::span<const double> others) {
   // Linear-pricing baseline.  Psi_n(p) = beta * p regardless of the split,
-  // so the scalar best response solves U'(p) = beta directly; the grid then
-  // fills sections in index order up to the safety cap (no balancing
-  // incentive exists under a flat unit price).
+  // so the scalar best response solves U'(p) = beta directly -- the closed
+  // form (U')^-1(beta), capped at p_max -- and the grid then fills sections
+  // in index order up to the safety cap (no balancing incentive exists under
+  // a flat unit price).
   const double beta = costs_.front().pricing().derivative(0.0);
-  const Satisfaction& u = *players_[player].satisfaction;
   const double p_max = players_[player].p_max.value();
-  double p_star;
-  if (u.derivative(0.0) <= beta) {
-    p_star = 0.0;
-  } else if (u.derivative(p_max) >= beta) {
-    p_star = p_max;
-  } else {
-    double lo = 0.0;
-    double hi = p_max;
-    for (int it = 0; it < 200 && hi - lo > 1e-9; ++it) {
-      const double mid = 0.5 * (lo + hi);
-      if (u.derivative(mid) > beta) {
-        lo = mid;
-      } else {
-        hi = mid;
-      }
-    }
-    p_star = 0.5 * (lo + hi);
-  }
+  const double p_star =
+      beta > 0.0
+          ? std::min(players_[player].satisfaction->derivative_inverse(beta),
+                     p_max)
+          : p_max;
 
   // Each OLEV charges where it happens to be: fill sections starting at a
   // stable per-vehicle offset (its position along the lane), wrapping
@@ -425,7 +412,7 @@ double Game::current_welfare() const {
 }
 
 CongestionReport Game::current_congestion() const {
-  return congestion_report(schedule_.column_totals(), p_lines_kw_);
+  return congestion_report(column_totals_, p_lines_kw_);
 }
 
 GameResult Game::run(bool warm_start) {

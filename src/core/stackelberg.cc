@@ -13,20 +13,10 @@ double follower_reaction(const Satisfaction& u, util::DollarsPerKwh price_per_kw
   const double price = price_per_kwh.value();
   const double p_max = p_max_kw.value();
   if (p_max <= 0.0) return 0.0;
-  if (u.derivative(0.0) <= price) return 0.0;     // too expensive: opt out
-  if (u.derivative(p_max) >= price) return p_max;  // cap binds
-  // Interior: U'(p) = price, U' strictly decreasing.
-  double lo = 0.0;
-  double hi = p_max;
-  for (int it = 0; it < 200 && hi - lo > 1e-10; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    if (u.derivative(mid) > price) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return 0.5 * (lo + hi);
+  // U'(p) = price, U' strictly decreasing: the closed form (U')^-1, which
+  // is 0 when the price is too high to buy anything; capped at p_max.
+  if (price <= 0.0) return p_max;
+  return std::min(u.derivative_inverse(price), p_max);
 }
 
 StackelbergResult solve_stackelberg(

@@ -1,12 +1,11 @@
 #include "core/trace.h"
 
 #include "obs/strings.h"
-#include "util/json.h"
 
 namespace olev::core {
 
 std::string to_json(const GameResult& result) {
-  util::JsonWriter json;
+  obs::JsonWriter json;
   json.begin_object();
   json.key("converged").value(result.converged);
   json.key("updates").value(result.updates);
@@ -28,8 +27,7 @@ std::string to_json(const GameResult& result) {
 
   json.key("schedule").begin_array();
   for (std::size_t n = 0; n < result.schedule.players(); ++n) {
-    const auto row = result.schedule.row(n);
-    json.value(std::vector<double>(row.begin(), row.end()));
+    json.value(result.schedule.row(n));
   }
   json.end_array();
 
@@ -47,7 +45,7 @@ std::string to_json(const GameResult& result) {
   json.end_array();
 
   json.end_object();
-  return json.str();
+  return std::move(json).str();
 }
 
 void save_json(const GameResult& result, const std::string& path) {
@@ -56,7 +54,7 @@ void save_json(const GameResult& result, const std::string& path) {
 }
 
 std::string to_json(const SweepReport& report) {
-  util::JsonWriter json;
+  obs::JsonWriter json;
   json.begin_object();
   json.key("scenarios").value(report.scenarios);
   json.key("threads").value(report.threads);
@@ -83,11 +81,9 @@ std::string to_json(const SweepReport& report) {
     json.key("name").value(snapshot.name);
     json.key("bounds").value(snapshot.bounds);
     json.key("counts").begin_array();
-    for (std::uint64_t c : snapshot.counts) {
-      json.value(static_cast<std::size_t>(c));
-    }
+    for (std::uint64_t c : snapshot.counts) json.value(c);
     json.end_array();
-    json.key("count").value(static_cast<std::size_t>(snapshot.count));
+    json.key("count").value(snapshot.count);
     json.key("sum").value(snapshot.sum);
     json.key("mean").value(snapshot.mean());
     json.end_object();
@@ -98,7 +94,7 @@ std::string to_json(const SweepReport& report) {
   histogram(report.solve_millis);
 
   json.end_object();
-  return json.str();
+  return std::move(json).str();
 }
 
 void save_json(const SweepReport& report, const std::string& path) {

@@ -139,34 +139,25 @@ const char* event_name(Event event) {
   return "unknown";
 }
 
-// Built with += only: chained operator+ on string temporaries trips
-// gcc-12's bogus -Wrestrict at -O3 (PR105651), same as obs/report.cc.
 std::string to_json(const std::vector<Record>& records) {
-  std::string out = "{\"recorded\":";
-  out += std::to_string(total_recorded());
-  out += ",\"returned\":";
-  out += std::to_string(records.size());
-  out += ",\"events\":[";
-  bool first = true;
+  JsonWriter json;
+  json.begin_object();
+  json.key("recorded").value(total_recorded());
+  json.key("returned").value(records.size());
+  json.key("events").begin_array();
   for (const Record& rec : records) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"ts_us\":";
-    out += std::to_string(rec.ts_us);
-    out += ",\"lane\":";
-    out += std::to_string(rec.lane);
-    out += ",\"seq\":";
-    out += std::to_string(rec.seq);
-    out += ",\"event\":\"";
-    out += json_escape(event_name(rec.event));
-    out += "\",\"a\":";
-    out += std::to_string(rec.a);
-    out += ",\"b\":";
-    out += std::to_string(rec.b);
-    out += '}';
+    json.begin_object();
+    json.key("ts_us").value(rec.ts_us);
+    json.key("lane").value(rec.lane);
+    json.key("seq").value(rec.seq);
+    json.key("event").value(event_name(rec.event));
+    json.key("a").value(rec.a);
+    json.key("b").value(rec.b);
+    json.end_object();
   }
-  out += "]}";
-  return out;
+  json.end_array();
+  json.end_object();
+  return std::move(json).str();
 }
 
 void reset() {

@@ -10,56 +10,38 @@
 
 namespace olev::obs {
 
-// Serialization below appends with += only: chained operator+ on string
-// temporaries trips gcc-12's bogus -Wrestrict at -O3 (PR105651).
-std::string to_json(const MetricsSnapshot& snapshot) {
-  std::string out = "{\"counters\":{";
-  bool first = true;
+void write_json(JsonWriter& json, const MetricsSnapshot& snapshot) {
+  json.begin_object();
+  json.key("counters").begin_object();
   for (const CounterSnapshot& counter : snapshot.counters) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += json_escape(counter.name);
-    out += "\":";
-    out += std::to_string(counter.value);
+    json.key(counter.name).value(counter.value);
   }
-  out += "},\"gauges\":{";
-  first = true;
+  json.end_object();
+  json.key("gauges").begin_object();
   for (const GaugeSnapshot& gauge : snapshot.gauges) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += json_escape(gauge.name);
-    out += "\":";
-    out += format_double(gauge.value);
+    json.key(gauge.name).value(gauge.value);
   }
-  out += "},\"histograms\":{";
-  first = true;
+  json.end_object();
+  json.key("histograms").begin_object();
   for (const HistogramSnapshot& histogram : snapshot.histograms) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += json_escape(histogram.name);
-    out += "\":{\"bounds\":[";
-    for (std::size_t i = 0; i < histogram.bounds.size(); ++i) {
-      if (i > 0) out += ',';
-      out += format_double(histogram.bounds[i]);
-    }
-    out += "],\"counts\":[";
-    for (std::size_t i = 0; i < histogram.counts.size(); ++i) {
-      if (i > 0) out += ',';
-      out += std::to_string(histogram.counts[i]);
-    }
-    out += "],\"count\":";
-    out += std::to_string(histogram.count);
-    out += ",\"sum\":";
-    out += format_double(histogram.sum);
-    out += ",\"mean\":";
-    out += format_double(histogram.mean());
-    out += '}';
+    json.key(histogram.name).begin_object();
+    json.key("bounds").value(histogram.bounds);
+    json.key("counts").begin_array();
+    for (std::uint64_t count : histogram.counts) json.value(count);
+    json.end_array();
+    json.key("count").value(histogram.count);
+    json.key("sum").value(histogram.sum);
+    json.key("mean").value(histogram.mean());
+    json.end_object();
   }
-  out += "}}";
-  return out;
+  json.end_object();
+  json.end_object();
+}
+
+std::string to_json(const MetricsSnapshot& snapshot) {
+  JsonWriter json;
+  write_json(json, snapshot);
+  return std::move(json).str();
 }
 
 std::string to_text(const MetricsSnapshot& snapshot) {

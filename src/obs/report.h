@@ -7,6 +7,7 @@
 #include <string>
 
 #include "obs/metrics.h"
+#include "obs/strings.h"
 
 namespace olev::obs {
 
@@ -16,6 +17,10 @@ namespace olev::obs {
 ///    "histograms":{name:{"bounds":[...],"counts":[...],"count":n,
 ///                        "sum":s,"mean":m},...}}
 std::string to_json(const MetricsSnapshot& snapshot);
+
+/// Writes the to_json() object as the next value of `json`, so a caller
+/// can nest a snapshot inside a larger document (the admin "snapshot").
+void write_json(JsonWriter& json, const MetricsSnapshot& snapshot);
 
 /// Aligned plain-text rendering for terminals / run logs.
 std::string to_text(const MetricsSnapshot& snapshot);

@@ -89,66 +89,47 @@ std::string Tracer::to_json() const {
     epoch = epoch_us_;
   }
 
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  auto emit = [&](const std::string& event_json) {
-    if (!first) out += ',';
-    first = false;
-    out += event_json;
+  JsonWriter json;
+  json.begin_object();
+  json.key("displayTimeUnit").value("ms");
+  json.key("traceEvents").begin_array();
+  const auto metadata = [&json](const char* name, int tid,
+                                std::string_view label) {
+    json.begin_object();
+    json.key("name").value(name);
+    json.key("ph").value("M");
+    json.key("pid").value(1);
+    json.key("tid").value(tid);
+    json.key("args").begin_object().key("name").value(label).end_object();
+    json.end_object();
   };
-
-  emit("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
-       "\"args\":{\"name\":\"olev\"}}");
+  metadata("process_name", 0, "olev");
   for (const std::shared_ptr<Lane>& lane : lanes) {
     MutexLock lane_lock(lane->mutex);
-    // Built with += throughout: chained operator+ on string temporaries
-    // trips gcc-12's bogus -Wrestrict at -O3 (PR105651), and this is the
-    // export hot loop anyway.
-    const std::string tid = std::to_string(lane->tid);
-    if (!lane->name.empty()) {
-      std::string meta = "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
-      meta += tid;
-      meta += ",\"args\":{\"name\":\"";
-      meta += json_escape(lane->name);
-      meta += "\"}}";
-      emit(meta);
-    }
+    if (!lane->name.empty()) metadata("thread_name", lane->tid, lane->name);
     for (const TraceEvent& event : lane->events) {
-      std::string entry = "{\"name\":\"";
-      entry += json_escape(event.name);
-      entry += "\",\"cat\":\"";
-      entry += json_escape(event.category);
-      entry += "\",\"ph\":\"";
-      entry += event.phase;
-      entry += "\",\"ts\":";
-      entry += std::to_string(event.ts_us - epoch);
-      entry += ",\"pid\":1,\"tid\":";
-      entry += tid;
+      json.begin_object();
+      json.key("name").value(event.name);
+      json.key("cat").value(event.category);
+      json.key("ph").value(std::string_view(&event.phase, 1));
+      json.key("ts").value(event.ts_us - epoch);
+      json.key("pid").value(1);
+      json.key("tid").value(lane->tid);
       if (event.nargs > 0 || !event.detail.empty()) {
-        entry += ",\"args\":{";
-        bool first_arg = true;
-        if (!event.detail.empty()) {
-          entry += "\"label\":\"";
-          entry += json_escape(event.detail);
-          entry += '"';
-          first_arg = false;
-        }
+        json.key("args").begin_object();
+        if (!event.detail.empty()) json.key("label").value(event.detail);
         for (int i = 0; i < event.nargs; ++i) {
-          if (!first_arg) entry += ',';
-          first_arg = false;
-          entry += '"';
-          entry += json_escape(event.args[static_cast<std::size_t>(i)].first);
-          entry += "\":";
-          entry += format_double(event.args[static_cast<std::size_t>(i)].second);
+          const auto& [arg, number] = event.args[static_cast<std::size_t>(i)];
+          json.key(arg).value(number);
         }
-        entry += '}';
+        json.end_object();
       }
-      entry += '}';
-      emit(entry);
+      json.end_object();
     }
   }
-  out += "]}";
-  return out;
+  json.end_array();
+  json.end_object();
+  return std::move(json).str();
 }
 
 void Tracer::save(const std::string& path) const {

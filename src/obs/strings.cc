@@ -1,6 +1,7 @@
 #include "obs/strings.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -79,11 +80,7 @@ std::uint32_t decode_utf8(std::string_view text, std::size_t& i) {
   return cp;
 }
 
-}  // namespace
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
+void append_escaped(std::string& out, std::string_view text) {
   std::size_t i = 0;
   while (i < text.size()) {
     const unsigned char c = static_cast<unsigned char>(text[i]);
@@ -108,14 +105,132 @@ std::string json_escape(std::string_view text) {
       append_code_point(out, decode_utf8(text, i));
     }
   }
+}
+
+void append_double(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
+  }
+  // 24 characters hold the longest shortest form, -2.2250738585072014e-308;
+  // fixed notation of an integer below 2^53 needs at most 17.
+  char buffer[32];
+  const bool integral = std::abs(v) < 0x1p53 && v == std::trunc(v);
+  const std::to_chars_result result =
+      integral ? std::to_chars(buffer, buffer + sizeof(buffer), v,
+                               std::chars_format::fixed)
+               : std::to_chars(buffer, buffer + sizeof(buffer), v);
+  out.append(buffer, result.ptr);
+}
+
+}  // namespace
+
+std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  append_escaped(out, text);
   return out;
 }
 
 std::string format_double(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.12g", v);
-  return buffer;
+  std::string out;
+  append_double(out, v);
+  return out;
+}
+
+void JsonWriter::separator() {
+  if (stack_.empty()) return;
+  if (stack_.back() == 'v') {
+    // Key already written; value follows immediately.
+    stack_.back() = 'o';
+    return;
+  }
+  if (!first_.back()) out_ += ',';
+  first_.back() = false;
+}
+
+JsonWriter& JsonWriter::begin_object() {
+  separator();
+  out_ += '{';
+  stack_.push_back('o');
+  first_.push_back(true);
+  return *this;
+}
+
+JsonWriter& JsonWriter::end_object() {
+  out_ += '}';
+  stack_.pop_back();
+  first_.pop_back();
+  return *this;
+}
+
+JsonWriter& JsonWriter::begin_array() {
+  separator();
+  out_ += '[';
+  stack_.push_back('a');
+  first_.push_back(true);
+  return *this;
+}
+
+JsonWriter& JsonWriter::end_array() {
+  out_ += ']';
+  stack_.pop_back();
+  first_.pop_back();
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view name) {
+  if (!first_.back()) out_ += ',';
+  first_.back() = false;
+  out_ += '"';
+  append_escaped(out_, name);
+  out_ += "\":";
+  stack_.back() = 'v';  // next value call skips the comma
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(double v) {
+  separator();
+  append_double(out_, v);
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(bool v) {
+  separator();
+  out_ += v ? "true" : "false";
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::string_view v) {
+  separator();
+  out_ += '"';
+  append_escaped(out_, v);
+  out_ += '"';
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::span<const double> values) {
+  begin_array();
+  for (double v : values) value(v);
+  return end_array();
+}
+
+JsonWriter& JsonWriter::null() {
+  separator();
+  out_ += "null";
+  return *this;
+}
+
+JsonWriter& JsonWriter::integer(std::int64_t v) {
+  separator();
+  out_ += std::to_string(v);
+  return *this;
+}
+
+JsonWriter& JsonWriter::integer(std::uint64_t v) {
+  separator();
+  out_ += std::to_string(v);
+  return *this;
 }
 
 void write_file(const std::string& path, std::string_view content) {

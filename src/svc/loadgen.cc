@@ -223,55 +223,36 @@ LoadgenReport run_loadgen(const LoadgenConfig& config) {
 }
 
 std::string LoadgenReport::to_json() const {
-  // Built with += only (gcc-12 -Wrestrict, PR105651).  Doubles go through
-  // obs::format_double: shortest round-trippable decimal, so whole-number
-  // latencies print as integers instead of the 6-significant-digit
-  // scientific notation std::ostream would lossily emit -- the same
-  // convention the obs registry JSON uses.
-  std::string out = "{\n";
-  auto field_u64 = [&out](const char* name, std::uint64_t value) {
-    out += "  \"";
-    out += name;
-    out += "\": ";
-    out += std::to_string(value);
-    out += ",\n";
-  };
-  auto field_f64 = [&out](const char* name, double value) {
-    out += "  \"";
-    out += name;
-    out += "\": ";
-    out += obs::format_double(value);
-    out += ",\n";
-  };
-  field_u64("requests_sent", requests_sent);
-  field_u64("ok", ok);
-  field_u64("retry_later", retry_later);
-  field_u64("deadline_expired", deadline_expired);
-  field_u64("draining", draining);
-  field_u64("garbled", garbled);
-  field_u64("errors", errors);
-  field_u64("reconnects", reconnects);
-  field_u64("session_resumed", session_resumed);
-  out += "  \"clean\": ";
-  out += clean() ? "true" : "false";
-  out += ",\n";
-  field_f64("wall_s", wall_s);
-  field_f64("requests_per_s", requests_per_s);
-  field_f64("latency_p50_us", latency_p50_us);
-  field_f64("latency_p95_us", latency_p95_us);
-  field_f64("latency_p99_us", latency_p99_us);
-  field_f64("latency_max_us", latency_max_us);
-  field_f64("server_admit_p50_us", server_admit_p50_us);
-  field_f64("server_admit_p95_us", server_admit_p95_us);
-  field_f64("server_queue_p50_us", server_queue_p50_us);
-  field_f64("server_queue_p95_us", server_queue_p95_us);
-  field_f64("server_batch_p50_us", server_batch_p50_us);
-  field_f64("server_batch_p95_us", server_batch_p95_us);
-  field_f64("server_solve_p50_us", server_solve_p50_us);
-  out += "  \"server_solve_p95_us\": ";
-  out += obs::format_double(server_solve_p95_us);
-  out += "\n}\n";
-  return out;
+  // Through obs's one JSON writer: doubles print as the shortest decimal
+  // that reads back bit for bit, and whole-µs latencies as integers.
+  obs::JsonWriter json;
+  json.begin_object();
+  json.key("requests_sent").value(requests_sent);
+  json.key("ok").value(ok);
+  json.key("retry_later").value(retry_later);
+  json.key("deadline_expired").value(deadline_expired);
+  json.key("draining").value(draining);
+  json.key("garbled").value(garbled);
+  json.key("errors").value(errors);
+  json.key("reconnects").value(reconnects);
+  json.key("session_resumed").value(session_resumed);
+  json.key("clean").value(clean());
+  json.key("wall_s").value(wall_s);
+  json.key("requests_per_s").value(requests_per_s);
+  json.key("latency_p50_us").value(latency_p50_us);
+  json.key("latency_p95_us").value(latency_p95_us);
+  json.key("latency_p99_us").value(latency_p99_us);
+  json.key("latency_max_us").value(latency_max_us);
+  json.key("server_admit_p50_us").value(server_admit_p50_us);
+  json.key("server_admit_p95_us").value(server_admit_p95_us);
+  json.key("server_queue_p50_us").value(server_queue_p50_us);
+  json.key("server_queue_p95_us").value(server_queue_p95_us);
+  json.key("server_batch_p50_us").value(server_batch_p50_us);
+  json.key("server_batch_p95_us").value(server_batch_p95_us);
+  json.key("server_solve_p50_us").value(server_solve_p50_us);
+  json.key("server_solve_p95_us").value(server_solve_p95_us);
+  json.end_object();
+  return std::move(json).str();
 }
 
 }  // namespace olev::svc

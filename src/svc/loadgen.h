@@ -67,6 +67,7 @@ struct LoadgenReport {
   /// request entirely (errors > 0 covers that via retry exhaustion).
   bool clean() const { return garbled == 0 && errors == 0; }
 
+  /// One compact JSON object (olev_loadgen's output), keys in field order.
   std::string to_json() const;
 };
 

@@ -18,6 +18,13 @@ namespace olev::svc {
 namespace {
 
 constexpr std::size_t kReadChunkBytes = 16 * 1024;
+/// Outgoing bytes one connection may have queued before it is dropped as a
+/// slow consumer.
+constexpr std::size_t kMaxWriteBufferBytes = 4u << 20;
+/// How long a drain waits for queued replies to flush before it closes.
+constexpr double kDrainTimeoutS = 5.0;
+/// Re-announce into silence (a lost client) after this long.
+constexpr double kAnnounceRetryS = 1.0;
 /// Admin command lines are tiny ("snapshot\n"); anything longer is garbage.
 constexpr std::size_t kMaxAdminLineBytes = 256;
 
@@ -59,11 +66,10 @@ std::vector<double> default_latency_bucket_edges_us() {
 /// One connected client: its socket, the framing decoder for its byte
 /// stream, a bounded outgoing buffer, and the player binding (if any).
 struct PricingService::Session {
-  Session(Socket sock, std::size_t max_frame)
-      : socket(std::move(sock)), decoder(max_frame) {}
+  explicit Session(Socket sock) : socket(std::move(sock)) {}
 
   Socket socket;
-  FrameDecoder decoder;
+  FrameDecoder decoder;  ///< capped at kDefaultMaxFrameBytes
   std::vector<std::uint8_t> outbuf;
   std::size_t outbuf_offset = 0;
   std::int64_t last_activity_us = 0;
@@ -99,10 +105,6 @@ PricingService::PricingService(core::SectionCost cost, ServiceConfig config)
       port_(local_port(listener_)) {
   if (config_.max_batch == 0 || config_.max_queue == 0) {
     throw std::invalid_argument("PricingService: max_batch/max_queue must be > 0");
-  }
-  if (config_.announce_after_players == 0 ||
-      config_.announce_after_players > config_.players) {
-    config_.announce_after_players = config_.players;
   }
   if (config_.admin_enabled) {
     admin_listener_ = listen_on(config_.admin_port);
@@ -207,7 +209,7 @@ void PricingService::send_message(const std::shared_ptr<Session>& session,
                                   const net::Message& message) {
   if (session->dead) return;
   const std::vector<std::uint8_t> frame = encode_frame(message);
-  if (session->pending_out() + frame.size() > config_.max_write_buffer_bytes) {
+  if (session->pending_out() + frame.size() > kMaxWriteBufferBytes) {
     // The peer is not draining its socket; buffering without bound would let
     // one slow client hold the schedule's memory hostage.
     ++stats_.write_overflows;
@@ -251,8 +253,7 @@ void PricingService::accept_new_connections() {
   for (;;) {
     Socket sock = accept_connection(listener_);
     if (!sock.valid()) return;
-    auto session =
-        std::make_shared<Session>(std::move(sock), config_.max_frame_bytes);
+    auto session = std::make_shared<Session>(std::move(sock));
     session->last_activity_us = obs::now_micros();
     sessions_.push_back(std::move(session));
     ++stats_.connections_accepted;
@@ -318,7 +319,7 @@ void PricingService::dispatch(const std::shared_ptr<Session>& session,
     known_players_[beacon->player] = true;
     if (!was_bound) ++bound_players_;
     if (config_.announce && !announcing_started_ &&
-        bound_players_ >= config_.announce_after_players) {
+        bound_players_ >= config_.players) {
       announcing_started_ = true;
     }
     if (reattach) {
@@ -326,7 +327,7 @@ void PricingService::dispatch(const std::shared_ptr<Session>& session,
       // after a snapshot resume): acknowledge the re-attach so the client
       // knows its binding carried over, and if the grid-paced announcement
       // was waiting on exactly this player, retransmit immediately instead
-      // of stalling the round until the announce_retry_s timer.
+      // of stalling the round until the kAnnounceRetryS timer.
       ++stats_.sessions_resumed;
       obs::flight::record(obs::flight::Event::kSessionResume, beacon->player,
                           static_cast<std::uint64_t>(engine_.updates()));
@@ -541,7 +542,7 @@ void PricingService::maybe_announce(std::int64_t now_us) {
   const auto round = static_cast<std::uint64_t>(engine_.updates());
   const bool waiting =
       announce_inflight_ && !announce_answered_ && announced_round_ >= round;
-  if (waiting && now_us - announced_at_us_ < micros(config_.announce_retry_s)) {
+  if (waiting && now_us - announced_at_us_ < micros(kAnnounceRetryS)) {
     return;
   }
   const std::size_t cursor = engine_.cursor();
@@ -570,7 +571,7 @@ void PricingService::send_converged(const std::shared_ptr<Session>& session) {
 
 void PricingService::begin_drain(std::int64_t now_us) {
   draining_ = true;
-  drain_deadline_us_ = now_us + micros(config_.drain_timeout_s);
+  drain_deadline_us_ = now_us + micros(kDrainTimeoutS);
   obs::flight::record(obs::flight::Event::kDrain, queue_.size(),
                       sessions_.size());
   listener_.close();
@@ -714,81 +715,66 @@ void PricingService::remove_dead_admin_sessions() {
       admin_sessions_.end());
 }
 
-std::string PricingService::health_json() const {
-  std::string out = "{\"status\":\"";
-  out += draining_ ? "draining" : "serving";
-  out += "\",\"uptime_us\":";
-  out += std::to_string(obs::now_micros() - started_us_);
-  out += ",\"connections\":";
-  out += std::to_string(sessions_.size());
-  out += ",\"bound_players\":";
-  out += std::to_string(bound_players_);
-  out += ",\"queue_depth\":";
-  out += std::to_string(queue_.size());
-  out += ",\"requests_served\":";
-  out += std::to_string(stats_.requests_served);
-  out += '}';
-  return out;
+void PricingService::write_health(obs::JsonWriter& json) const {
+  json.begin_object();
+  json.key("status").value(draining_ ? "draining" : "serving");
+  json.key("uptime_us").value(obs::now_micros() - started_us_);
+  json.key("connections").value(sessions_.size());
+  json.key("bound_players").value(bound_players_);
+  json.key("queue_depth").value(queue_.size());
+  json.key("requests_served").value(stats_.requests_served);
+  json.end_object();
 }
 
-std::string PricingService::engine_json() const {
-  std::string out = "{\"mode\":\"";
-  out += engine_.mode() == EngineMode::kMeanField ? "meanfield" : "exact";
-  out += "\",\"players\":";
-  out += std::to_string(engine_.players());
-  out += ",\"sections\":";
-  out += std::to_string(engine_.sections());
-  out += ",\"updates\":";
-  out += std::to_string(engine_.updates());
-  out += ",\"round\":";
-  out += std::to_string(engine_.updates() / engine_.players());
-  out += ",\"cursor\":";
-  out += std::to_string(engine_.cursor());
-  out += ",\"converged\":";
-  out += engine_.converged() ? "true" : "false";
-  out += ",\"residual\":";
-  out += obs::format_double(engine_.residual());
-  out += ",\"queue_depth\":";
-  out += std::to_string(queue_.size());
-  out += ",\"last_batch\":";
-  out += std::to_string(last_batch_size_);
-  out += ",\"max_batch\":";
-  out += std::to_string(stats_.max_batch_size);
-  out += ",\"batches\":";
-  out += std::to_string(stats_.batches);
-  out += ",\"resumed\":";
-  out += resumed_ ? "true" : "false";
-  out += ",\"sessions_resumed\":";
-  out += std::to_string(stats_.sessions_resumed);
-  out += ",\"journal_records\":";
-  out += std::to_string(stats_.journal_records);
-  out += '}';
-  return out;
+void PricingService::write_engine(obs::JsonWriter& json) const {
+  json.begin_object();
+  json.key("mode").value(engine_.mode() == EngineMode::kMeanField ? "meanfield"
+                                                                  : "exact");
+  json.key("players").value(engine_.players());
+  json.key("sections").value(engine_.sections());
+  json.key("updates").value(engine_.updates());
+  json.key("round").value(engine_.updates() / engine_.players());
+  json.key("cursor").value(engine_.cursor());
+  json.key("converged").value(engine_.converged());
+  json.key("residual").value(engine_.residual());
+  json.key("queue_depth").value(queue_.size());
+  json.key("last_batch").value(last_batch_size_);
+  json.key("max_batch").value(stats_.max_batch_size);
+  json.key("batches").value(stats_.batches);
+  json.key("resumed").value(resumed_);
+  json.key("sessions_resumed").value(stats_.sessions_resumed);
+  json.key("journal_records").value(stats_.journal_records);
+  json.end_object();
 }
 
 std::string PricingService::admin_reply(std::string_view command) const {
   // Read-only queries only; anything that mutates state stays off this
   // plane by construction (docs/SERVING.md, "Admin protocol").
-  if (command == "health") return health_json();
-  if (command == "engine") return engine_json();
   if (command == "metrics") {
     return obs::to_json(obs::Registry::instance().snapshot());
   }
   if (command == "flight") return obs::flight::to_json(obs::flight::snapshot());
-  if (command == "snapshot") {
-    std::string out = "{\"health\":";
-    out += health_json();
-    out += ",\"engine\":";
-    out += engine_json();
-    out += ",\"metrics\":";
-    out += obs::to_json(obs::Registry::instance().snapshot());
-    out += '}';
-    return out;
+  obs::JsonWriter json;
+  if (command == "health") {
+    write_health(json);
+  } else if (command == "engine") {
+    write_engine(json);
+  } else if (command == "snapshot") {
+    json.begin_object();
+    json.key("health");
+    write_health(json);
+    json.key("engine");
+    write_engine(json);
+    json.key("metrics");
+    obs::write_json(json, obs::Registry::instance().snapshot());
+    json.end_object();
+  } else {
+    std::string error = "unknown command '";
+    error += command;
+    error += "' (expected snapshot|health|engine|metrics|flight)";
+    json.begin_object().key("error").value(error).end_object();
   }
-  std::string out = "{\"error\":\"unknown command '";
-  out += obs::json_escape(command);
-  out += "' (expected snapshot|health|engine|metrics|flight)\"}";
-  return out;
+  return std::move(json).str();
 }
 
 int PricingService::next_timeout_ms(std::int64_t now_us) const {

@@ -64,6 +64,7 @@
 #include "core/cost.h"
 #include "net/message.h"
 #include "obs/metrics.h"
+#include "obs/strings.h"
 #include "persist/journal.h"
 #include "svc/engine.h"
 #include "svc/frame.h"
@@ -97,16 +98,11 @@ struct ServiceConfig {
 
   // Robustness.
   double idle_timeout_s = 60.0;  ///< reap silent connections; <= 0 disables
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  std::size_t max_write_buffer_bytes = 4u << 20;
-  double drain_timeout_s = 5.0;
 
-  // Grid-paced mode: the service announces payment functions round-robin
-  // (Section IV-D) once `announce_after_players` sessions have bound, and
-  // broadcasts CONVERGED at the fixed point.  0 = wait for all players.
+  // Grid-paced mode: once every player's session has bound, the service
+  // announces payment functions round-robin (Section IV-D) and broadcasts
+  // CONVERGED at the fixed point.
   bool announce = false;
-  std::size_t announce_after_players = 0;
-  double announce_retry_s = 1.0;  ///< re-announce into silence (lost client)
 
   // Observability.
   /// Read-only admin/telemetry plane (docs/SERVING.md, "Admin protocol"):
@@ -238,8 +234,8 @@ class PricingService {
   void flush_admin(AdminSession& session);
   void remove_dead_admin_sessions();
   std::string admin_reply(std::string_view command) const;
-  std::string health_json() const;
-  std::string engine_json() const;
+  void write_health(obs::JsonWriter& json) const;
+  void write_engine(obs::JsonWriter& json) const;
 
   // All confined to the run() thread (see the thread-safety contract in the
   // header comment); stop_requested_ is the one cross-thread flag.

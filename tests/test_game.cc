@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "core/best_response.h"
 #include "core/central.h"
 #include "core/payment.h"
+#include "core/welfare.h"
 
 namespace olev::core {
 namespace {
@@ -147,6 +149,29 @@ TEST(Game, TrajectoryRecordsEveryUpdate) {
   // Updates are numbered 1..K.
   EXPECT_EQ(result.trajectory.front().update, 1u);
   EXPECT_EQ(result.trajectory.back().update, result.updates);
+}
+
+TEST(Game, TrajectoryCongestionMatchesAFreshFoldOfTheSchedule) {
+  // Recorded trajectories read Game's cached, delta-maintained column
+  // totals; every entry must agree with a fresh fold of the schedule.
+  GameConfig config;
+  config.record_trajectory = true;
+  const std::vector<double> weights{10.0, 25.0, 18.0, 7.0, 30.0};
+  Game recorded(make_players(weights), make_cost(), 4, olev::util::kw(50.0),
+                config);
+  const GameResult result = recorded.run();
+  ASSERT_TRUE(result.converged);
+  ASSERT_EQ(result.trajectory.size(), result.updates);
+
+  // A second game takes the same round-robin updates one at a time.
+  Game replay(make_players(weights), make_cost(), 4, olev::util::kw(50.0));
+  for (const UpdateMetrics& entry : result.trajectory) {
+    replay.step();
+    const double fresh =
+        congestion_report(replay.schedule(), olev::util::kw(50.0)).mean;
+    EXPECT_NEAR(entry.mean_congestion, fresh, 1e-12 * std::abs(fresh))
+        << "update " << entry.update;
+  }
 }
 
 TEST(Game, MaxUpdatesBoundsRun) {

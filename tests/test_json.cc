@@ -1,11 +1,11 @@
-#include "util/json.h"
+#include "obs/strings.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 
-namespace olev::util {
+namespace olev::obs {
 namespace {
 
 TEST(JsonEscape, PassThroughAndSpecials) {
@@ -17,9 +17,9 @@ TEST(JsonEscape, PassThroughAndSpecials) {
 }
 
 TEST(JsonEscape, NonAsciiAndMalformedBytesStayParseable) {
-  // util::json_escape delegates to obs::json_escape: UTF-8 becomes \uXXXX
-  // escapes and malformed bytes become U+FFFD, so scenario labels with
-  // accents or stray bytes can never corrupt an exported trace.
+  // UTF-8 becomes \uXXXX escapes and malformed bytes become U+FFFD, so
+  // scenario labels with accents or stray bytes can never corrupt an
+  // exported trace.
   EXPECT_EQ(json_escape("caf\xc3\xa9"), "caf\\u00e9");
   EXPECT_EQ(json_escape(std::string(1, '\x7f')), "\\u007f");
   EXPECT_EQ(json_escape(std::string(1, '\x80')), "\\ufffd");
@@ -94,4 +94,4 @@ TEST(JsonWriter, TopLevelArrayOfObjects) {
 }
 
 }  // namespace
-}  // namespace olev::util
+}  // namespace olev::obs

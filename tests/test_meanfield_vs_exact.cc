@@ -36,7 +36,7 @@
 #include "core/mean_field.h"
 #include "core/scenario.h"
 #include "core/sweep.h"
-#include "util/json.h"
+#include "obs/strings.h"
 #include "util/rng.h"
 
 namespace olev::core {
@@ -77,7 +77,7 @@ double load_band(std::size_t players) {
 }
 
 std::string scenario_json(const ScenarioConfig& config) {
-  util::JsonWriter json;
+  obs::JsonWriter json;
   json.begin_object();
   json.key("num_olevs").value(config.num_olevs);
   json.key("num_sections").value(config.num_sections);

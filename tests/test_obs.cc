@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -186,6 +189,32 @@ TEST(FormatDouble, NonFiniteMapsToNull) {
   EXPECT_EQ(format_double(1.5), "1.5");
   EXPECT_EQ(format_double(std::numeric_limits<double>::quiet_NaN()), "null");
   EXPECT_EQ(format_double(std::numeric_limits<double>::infinity()), "null");
+}
+
+TEST(FormatDouble, ShortestDecimalRoundTripsBitForBit) {
+  const auto round_trips = [](double x) {
+    const std::string text = format_double(x);
+    return std::bit_cast<std::uint64_t>(std::strtod(text.c_str(), nullptr)) ==
+           std::bit_cast<std::uint64_t>(x);
+  };
+  for (const double x :
+       {0.1 + 0.2, 1.0 / 3.0, 123456789012345.0, 7777.425569052123}) {
+    EXPECT_TRUE(round_trips(x)) << format_double(x);
+  }
+  EXPECT_EQ(format_double(0.1 + 0.2), "0.30000000000000004");
+  EXPECT_EQ(format_double(-std::numeric_limits<double>::infinity()), "null");
+  // Whole numbers stay integers instead of switching to e-notation.
+  EXPECT_EQ(format_double(100000.0), "100000");
+  EXPECT_EQ(format_double(-4096.0), "-4096");
+  // Random bit patterns: every finite double (subnormals included).
+  std::uint64_t state = 0x9e3779b97f4a7c15u;
+  for (int i = 0; i < 20000; ++i) {
+    state = state * 6364136223846793005u + 1442695040888963407u;
+    const double x = std::bit_cast<double>(state);
+    if (std::isfinite(x)) {
+      EXPECT_TRUE(round_trips(x)) << format_double(x);
+    }
+  }
 }
 
 TEST(WriteFile, ErrorNamesPathAndErrno) {

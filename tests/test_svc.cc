@@ -108,13 +108,14 @@ TEST(Frame, OversizedHeaderPoisonsTheDecoder) {
 // --- malformed input at the server -----------------------------------------
 
 TEST(Service, OversizedFrameAnsweredAndConnectionClosed) {
-  ServiceConfig config = base_config();
-  config.max_frame_bytes = 256;
-  ServiceRunner runner(config);
+  ServiceRunner runner(base_config());
   ServiceClient client = runner.connect();
 
-  // Header alone condemns the stream: claims 1 KiB against a 256 B cap.
-  const std::uint8_t header[kFrameHeaderBytes] = {0x00, 0x04, 0x00, 0x00};
+  // Header alone condemns the stream: claims one byte past the frame cap.
+  const std::uint32_t claimed =
+      static_cast<std::uint32_t>(kDefaultMaxFrameBytes) + 1;
+  std::uint8_t header[kFrameHeaderBytes];
+  std::memcpy(header, &claimed, sizeof(claimed));
   client.send_raw(header);
 
   const auto reply = client.recv(5.0);

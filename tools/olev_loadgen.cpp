@@ -107,10 +107,11 @@ int main(int argc, char** argv) {
   if (config.players == 0) config.players = config.connections;
 
   const olev::svc::LoadgenReport report = olev::svc::run_loadgen(config);
-  std::cout << report.to_json();
+  const std::string json = report.to_json() + "\n";
+  std::cout << json;
   if (!json_path.empty()) {
     std::ofstream out(json_path);
-    out << report.to_json();
+    out << json;
     if (!out) {
       std::cerr << "olev_loadgen: failed to write " << json_path << "\n";
       return 1;

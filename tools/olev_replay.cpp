@@ -178,26 +178,21 @@ int main(int argc, char** argv) {
     }
 
     const std::string hash_hex = hex64(hash);
-    std::string out = "{\n";
-    out += "  \"journal\": \"" + options.journal_path + "\",\n";
-    out += "  \"mode\": \"";
-    out += journal.header.mode == 1 ? "meanfield" : "exact";
-    out += "\",\n";
-    out += "  \"players\": " + std::to_string(journal.header.players) + ",\n";
-    out +=
-        "  \"sections\": " + std::to_string(journal.header.sections) + ",\n";
-    out += "  \"records\": " + std::to_string(journal.records.size()) + ",\n";
-    out += "  \"truncated\": ";
-    out += journal.truncated ? "true" : "false";
-    out += ",\n";
-    out += "  \"replayed\": " + std::to_string(replayed) + ",\n";
-    out += "  \"updates\": " + std::to_string(engine.updates()) + ",\n";
-    out += "  \"converged\": ";
-    out += engine.converged() ? "true" : "false";
-    out += ",\n";
-    out += "  \"residual\": " + olev::obs::format_double(engine.residual()) +
-           ",\n";
-    out += "  \"output_hash\": \"" + hash_hex + "\"\n}\n";
+    olev::obs::JsonWriter json;
+    json.begin_object();
+    json.key("journal").value(options.journal_path);
+    json.key("mode").value(journal.header.mode == 1 ? "meanfield" : "exact");
+    json.key("players").value(journal.header.players);
+    json.key("sections").value(journal.header.sections);
+    json.key("records").value(journal.records.size());
+    json.key("truncated").value(journal.truncated);
+    json.key("replayed").value(replayed);
+    json.key("updates").value(engine.updates());
+    json.key("converged").value(engine.converged());
+    json.key("residual").value(engine.residual());
+    json.key("output_hash").value(hash_hex);
+    json.end_object();
+    const std::string out = std::move(json).str() + "\n";
     std::fputs(out.c_str(), stdout);
     std::fflush(stdout);
 

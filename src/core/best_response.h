@@ -6,20 +6,22 @@
 //   p* : F'(p*) = 0               otherwise,
 //
 // with F(p) = U_n(p) - Psi_n(p) strictly concave, so F'(p) = U'_n(p) -
-// Z'(lambda*(p)) is strictly decreasing and the interior root is unique.
+// Psi_n'(p) is strictly decreasing and the interior root is unique.
 //
-// Lemma IV.1 makes lambda*(p) piecewise linear: with the loads sorted,
-// s_0 <= ... <= s_{C-1}, and S_k = s_0 + ... + s_{k-1}, the level is
-// lambda = (p + S_k) / k while k sections are loaded, i.e. for p between the
-// breakpoints q_{k-1} and q_k = k * s_k - S_k.  The solver binary-searches
-// the breakpoints for the segment holding the sign change of F' (the test at
-// q_k is U'(q_k) - Z'(s_k), no water level to find), then runs a safeguarded
-// Illinois secant on that one segment, where the level needs no search.  The
-// secant works on the ratio form 1 - Z'(lambda(p)) / U'(p), which has F''s
-// sign wherever U' > 0 and, for the paper's log U and quadratic V, is a
-// quadratic in p; while the bracket reaches past a satiation point (U' <= 0)
-// it interpolates F' itself.  The row allocation is then re-derived by
-// water-filling at p*.
+// Psi_n'(p) is piecewise linear on both corridors.  With one Z (the paper's),
+// Psi_n'(p) = Z'(lambda*(p)), and with the loads sorted, s_0 <= ... <=
+// s_{C-1}, S_k = s_0 + ... + s_{k-1}, Lemma IV.1 puts the level at
+// lambda = (p + S_k) / k for p between the breakpoints q_{k-1} and
+// q_k = k * s_k - S_k.  With one Z_c per section, Psi_n'(p) is the marginal
+// price rho*(p), linear between the breakpoints of PriceCurve
+// (core/water_filling.h).  One solver walks either curve: it binary-searches
+// the breakpoints for the segment holding F''s sign change (at a breakpoint
+// the price is known, no fill to find), splits a one-cost segment at the
+// overload hinge, then runs a safeguarded Illinois secant on the ratio form
+// 1 - Psi'(p) / U'(p).  That form has F''s sign wherever U' > 0 and, for the
+// paper's log U and quadratic V, is a quadratic in p; while the bracket
+// reaches past a satiation point (U' <= 0) it interpolates F' itself.  The
+// row is then filled at p* on the same curve.
 #pragma once
 
 #include <span>
@@ -58,7 +60,8 @@ struct BestResponse {
 /// charge the payment themselves.
 struct BestResponseScalars {
   double p_star = 0.0;
-  double level = 0.0;           ///< lambda* at p_star
+  /// lambda* at p_star; rho* at p_star for the PriceCurve overload.
+  double level = 0.0;
   int active_sections = 0;
   int iterations = 0;           ///< as BestResponse::iterations
   BestResponse::Case kind = BestResponse::Case::kInterior;
@@ -72,12 +75,16 @@ struct BestResponseScalars {
     const Satisfaction& u, const SectionCost& z,
     const SortedLoads& others_load, Kilowatts p_max, std::span<double> row);
 
+/// The same solver for a corridor with one cost per section, against the
+/// price curve the caller built from the Z_c and b.  Writes the generalized
+/// fill at p* into `row` (length curve.sections()); never allocates.
+[[nodiscard]] OLEV_HOT BestResponseScalars best_response_into(
+    const Satisfaction& u, const PriceCurve& curve, Kilowatts p_max,
+    std::span<double> row);
+
 /// F'_n(p): marginal utility of requesting one more unit of power.
 [[nodiscard]] double utility_derivative(const Satisfaction& u, const SectionCost& z,
                                         std::span<const double> others_load,
-                                        Kilowatts p);
-[[nodiscard]] double utility_derivative(const Satisfaction& u, const SectionCost& z,
-                                        const SortedLoads& others_load,
                                         Kilowatts p);
 
 }  // namespace olev::core

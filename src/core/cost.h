@@ -94,6 +94,7 @@ class SectionCost {
   bool strictly_convex() const { return v_->strictly_convex() || a_.weight > 0.0; }
   double cap_kw() const { return cap_kw_; }
   const CostPolicy& pricing() const { return *v_; }
+  const OverloadCost& overload() const { return a_; }
 
  private:
   std::unique_ptr<CostPolicy> v_;

@@ -22,6 +22,8 @@ double AgentProfile::admission_cap_kw() const {
 
 namespace {
 
+constexpr std::size_t kMaxRounds = 50000;  ///< player updates before giving up
+
 /// One OLEV endpoint: answers payment-function announcements with its best
 /// response; optionally beacons physical state and overstates demand.
 class OlevAgent {
@@ -192,7 +194,7 @@ DistributedResult run_session(std::vector<PlayerSpec> players,
 
   grid.start(bus, now);
 
-  while (!grid.converged() && grid.rounds() < config.max_rounds &&
+  while (!grid.converged() && grid.rounds() < kMaxRounds &&
          now < config.max_sim_time_s) {
     // Event-driven clock: jump to the next arrival or the retransmission
     // deadline, whichever is sooner.

@@ -29,7 +29,6 @@ struct DistributedConfig {
   net::LinkModel link;
   double retransmit_timeout_s = 0.25;
   double epsilon = 1e-7;            ///< convergence on a full player cycle
-  std::size_t max_rounds = 50000;   ///< total player updates before giving up
   double max_sim_time_s = 3600.0;   ///< wall-clock guard in simulated seconds
 };
 

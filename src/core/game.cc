@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "core/payment.h"
@@ -26,9 +25,6 @@ OLEV_RT_VCALL_OK("olev::core::Game::commit_row",
 OLEV_RT_VCALL_OK("olev::core::Game::update_greedy",
                  "Satisfaction/CostPolicy dispatch; every override is a "
                  "registered hot root");
-OLEV_RT_VCALL_OK("olev::core::Game::update_per_section",
-                 "Satisfaction dispatch; every override is a registered hot "
-                 "root");
 
 #if OLEV_OBS_ENABLED
 namespace {
@@ -68,7 +64,7 @@ Game::Game(std::vector<PlayerSpec> players, std::vector<SectionCost> costs,
     throw std::invalid_argument("Game: need one cost per section");
   }
   for (const SectionCost& cost : costs_) {
-    if (!cost.strictly_convex()) {
+    if (!cost.pricing().strictly_convex()) {
       throw std::invalid_argument(
           "Game: per-section costs must be strictly convex");
     }
@@ -141,6 +137,7 @@ void Game::rebuild_caches() {
   scratch_positions_.assign(sections_, 0);
   scratch_subrow_.assign(sections_, 0.0);
   scratch_sorted_.reserve(sections_);
+  if (costs_.size() > 1) scratch_curve_.reserve(sections_);
   caches_ = CacheCounters{};
 }
 
@@ -277,53 +274,11 @@ double Game::update_waterfill(std::size_t player,
 double Game::update_per_section(std::size_t player,
                                 std::span<const double> others) {
   const double previous = row_totals_[player];
-  const Satisfaction& u = *players_[player].satisfaction;
-  const double p_max = players_[player].p_max.value();
-
-  // The best response is solved in price space.  The generalized fill at
-  // marginal price rho takes D(rho) = sum_c [(Z_c')^{-1}(rho) - b_c]^+, which
-  // rises in rho, while the player wants (U')^{-1}(rho), which falls; they
-  // meet at rho* = Psi'(p*) = U'(p*).
-  auto volume_at = [&](double rho) {
-    double volume = 0.0;
-    for (std::size_t c = 0; c < sections_; ++c) {
-      volume +=
-          std::max(0.0, section_costs_[c]->derivative_inverse(rho) - others[c]);
-    }
-    return volume;
-  };
-  // rho*(0) = Psi'(0): the cheapest section's marginal price at b.
-  double rho_zero = std::numeric_limits<double>::infinity();
-  for (std::size_t c = 0; c < sections_; ++c) {
-    rho_zero = std::min(rho_zero, section_costs_[c]->derivative(others[c]));
-  }
-
-  double p_star;
-  const double u_zero = u.derivative(0.0);
-  const double u_cap = u.derivative(p_max);
-  if (p_max <= 0.0 || u_zero <= rho_zero) {
-    p_star = 0.0;
-  } else if (volume_at(u_cap) >= p_max) {
-    // Psi'(p_max) <= U'(p_max): the fill at U'(p_max) already holds p_max.
-    p_star = p_max;
-  } else {
-    // D - (U')^{-1} is negative at lo (D(rho_zero) = 0, or (U')^{-1} = p_max
-    // above D at U'(p_max)) and positive at hi ((U')^{-1}(U'(0)) = 0).
-    double lo = std::max(rho_zero, u_cap);
-    double hi = u_zero;
-    for (int it = 0; it < 200 && hi - lo > 1e-13 * hi; ++it) {
-      const double mid = 0.5 * (lo + hi);
-      if (volume_at(mid) < u.derivative_inverse(mid)) {
-        lo = mid;
-      } else {
-        hi = mid;
-      }
-    }
-    p_star = std::clamp(u.derivative_inverse(0.5 * (lo + hi)), 0.0, p_max);
-  }
-
+  scratch_curve_.reassign(section_costs_, others);
   std::span<double> row{scratch_row_.data(), sections_};
-  generalized_fill_into(section_costs_, others, util::kw(p_star), row);
+  const BestResponseScalars response =
+      best_response_into(*players_[player].satisfaction, scratch_curve_,
+                         players_[player].p_max, row);
 #if OLEV_AUDIT_ENABLED
   const double payment = externality_payment(section_costs_, others, row);
   OLEV_AUDIT_FINITE(payment, "update_per_section: payment");
@@ -333,7 +288,7 @@ double Game::update_per_section(std::size_t player,
                        std::to_string(player));
 #endif
   commit_row(player, others, row);
-  return std::abs(p_star - previous);
+  return std::abs(response.p_star - previous);
 }
 
 double Game::update_greedy(std::size_t player,

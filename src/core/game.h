@@ -120,10 +120,11 @@ class Game {
   Game(std::vector<PlayerSpec> players, SectionCost cost, std::size_t sections,
        util::Kilowatts p_line, GameConfig config = {});
 
-  /// A heterogeneous corridor: one strictly convex cost and one P_line (kW,
-  /// congestion normalization) per section.  With more than one section the
-  /// best response is solved against the generalized fill.  Path masks and
-  /// the greedy scheduler are one-cost only and rejected here.
+  /// A heterogeneous corridor: one cost and one P_line (kW, congestion
+  /// normalization) per section.  Every cost needs a strictly convex pricing
+  /// V (V'' > 0).  With more than one section the best response walks the
+  /// generalized fill's price curve.  Path masks and the greedy scheduler
+  /// are one-cost only and rejected here.
   Game(std::vector<PlayerSpec> players, std::vector<SectionCost> costs,
        std::vector<double> p_lines_kw, GameConfig config = {});
 
@@ -163,8 +164,8 @@ class Game {
   void commit_row(std::size_t player, std::span<const double> others,
                   std::span<const double> row);
   double update_waterfill(std::size_t player, std::span<const double> others);
-  /// Best response against one cost per section (price-space solve, then a
-  /// generalized fill at p*).
+  /// Best response against one cost per section, on the price curve of the
+  /// player's b.
   double update_per_section(std::size_t player,
                             std::span<const double> others);
   double update_greedy(std::size_t player, std::span<const double> others);
@@ -195,6 +196,7 @@ class Game {
   std::vector<std::size_t> scratch_positions_;  ///< masked section indices
   std::vector<double> scratch_subrow_;        ///< masked row subvector
   SortedLoads scratch_sorted_;                ///< reserved to C sections
+  PriceCurve scratch_curve_;  ///< reserved to C sections (one cost each)
   CacheCounters caches_;
   util::Rng rng_;
   std::size_t cursor_ = 0;  // round-robin position

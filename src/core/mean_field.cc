@@ -24,34 +24,12 @@ OLEV_RT_VCALL_OK("olev::core::MeanFieldGame::welfare_at",
                  "Satisfaction dispatch; every override is a registered hot "
                  "root");
 
-FieldHistogram field_histogram(std::span<const double> loads,
-                               std::size_t buckets) {
-  if (buckets == 0) {
-    throw std::invalid_argument("field_histogram: need at least one bucket");
-  }
-  FieldHistogram histogram;
-  if (loads.empty()) return histogram;
-  const auto [min_it, max_it] = std::minmax_element(loads.begin(), loads.end());
-  histogram.min_load = *min_it;
-  histogram.max_load = *max_it;
-  const double width = (histogram.max_load - histogram.min_load) /
-                       static_cast<double>(buckets);
-  histogram.lower_bounds.resize(buckets);
-  histogram.counts.assign(buckets, 0);
-  for (std::size_t i = 0; i < buckets; ++i) {
-    histogram.lower_bounds[i] =
-        histogram.min_load + width * static_cast<double>(i);
-  }
-  for (double load : loads) {
-    std::size_t bucket =
-        width > 0.0
-            ? static_cast<std::size_t>((load - histogram.min_load) / width)
-            : 0;
-    if (bucket >= buckets) bucket = buckets - 1;  // max load lands in the top bucket
-    ++histogram.counts[bucket];
-  }
-  return histogram;
-}
+// Convergence: the fixed-point residual |sum_n p_n(rho(T)) - T|, or the
+// bracket around T*, within kEpsilon relative to max(1, T).  Far below the
+// exact game's epsilon, so differential bands measure the approximation,
+// not this solver.
+constexpr double kEpsilon = 1e-10;
+constexpr std::size_t kMaxIterations = 500;
 
 MeanFieldGame::MeanFieldGame(std::vector<PlayerSpec> players, SectionCost cost,
                              std::size_t sections, util::Kilowatts p_line,
@@ -195,11 +173,11 @@ MeanFieldResult MeanFieldGame::run() {
   bool converged = false;
   std::size_t iterations = 0;
 
-  while (iterations < config_.max_iterations) {
+  while (iterations < kMaxIterations) {
     const double response = aggregate_response(
         cost_.derivative(level_for_total(total)));
     const double residual = response - total;
-    if (std::abs(residual) <= config_.epsilon * std::max(1.0, total)) {
+    if (std::abs(residual) <= kEpsilon * std::max(1.0, total)) {
       converged = true;
       break;
     }
@@ -216,7 +194,7 @@ MeanFieldResult MeanFieldGame::run() {
     // steep enough (g' < -1) that the residual itself stays large -- the
     // damped iterate then oscillates around T* inside an ever-shrinking
     // interval and the residual check above would never fire.
-    if (hi - lo <= config_.epsilon * std::max(1.0, total)) {
+    if (hi - lo <= kEpsilon * std::max(1.0, total)) {
       converged = true;
       break;
     }

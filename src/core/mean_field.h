@@ -42,7 +42,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "core/game.h"
@@ -53,32 +52,12 @@
 namespace olev::core {
 
 struct MeanFieldConfig {
-  /// Convergence: fixed-point residual |sum_n p_n(rho(T)) - T| relative to
-  /// max(1, T).  Far below the exact game's epsilon so differential bands
-  /// measure the approximation, not this solver.
-  double epsilon = 1e-10;
-  std::size_t max_iterations = 500;
   bool record_trajectory = false;
   /// Exogenous per-section load in kW (non-OLEV draw on the feeder); empty
   /// means zero everywhere.  A non-flat background is what makes the field
   /// a genuine distribution rather than a single level.
   std::vector<double> background_load_kw;
 };
-
-/// Compressed view of the per-section load distribution: count of sections
-/// whose load falls in [lower_bounds[i], lower_bounds[i+1]).  The histogram
-/// is the "mean field" the representative player prices against, exposed
-/// for reporting and tests.
-struct FieldHistogram {
-  std::vector<double> lower_bounds;  ///< bucket lower edges, ascending (kW)
-  std::vector<std::size_t> counts;   ///< same length as lower_bounds
-  double min_load = 0.0;
-  double max_load = 0.0;
-};
-
-/// Buckets `loads` into `buckets` equal-width bins over [min, max].
-[[nodiscard]] FieldHistogram field_histogram(std::span<const double> loads,
-                                             std::size_t buckets = 16);
 
 struct MeanFieldResult {
   bool converged = false;

@@ -9,9 +9,8 @@
 namespace olev::core {
 
 // Real-time wall manifest: the externality charge of Eq. 9 runs on every
-// hot best-response and engine quote.  The payment_* helpers are not rooted
-// by name (the span overloads legitimately allocate); the SortedLoads
-// overloads are covered through best_response_into's traversal instead.
+// engine quote (and every Game update in audit builds).  The payment_*
+// helpers are not rooted: they water-fill, which legitimately allocates.
 OLEV_HOT_ROOT("olev::core::externality_payment");
 
 #if OLEV_OBS_ENABLED
@@ -78,17 +77,6 @@ double payment_derivative(const SectionCost& z,
                           std::span<const double> others_load, Kilowatts total) {
   const WaterFillResult allocation = water_fill(others_load, total);
   return z.derivative(allocation.level);
-}
-
-double payment_of_total(const SectionCost& z, const SortedLoads& others_load,
-                        Kilowatts total) {
-  const WaterFillResult allocation = others_load.fill(total);
-  return externality_payment(z, others_load.values(), allocation.row);
-}
-
-double payment_derivative(const SectionCost& z, const SortedLoads& others_load,
-                          Kilowatts total) {
-  return z.derivative(others_load.level_for(total));
 }
 
 PaymentQuote quote_payment(const SectionCost& z,

@@ -44,16 +44,6 @@ namespace olev::core {
                                         std::span<const double> others_load,
                                         Kilowatts total);
 
-/// Hot-path variants against a pre-sorted b: the water level costs O(log C)
-/// instead of O(C log C) per evaluation.  Results are bit-identical to the
-/// span overloads.
-[[nodiscard]] double payment_of_total(const SectionCost& z,
-                                      const SortedLoads& others_load,
-                                      Kilowatts total);
-[[nodiscard]] double payment_derivative(const SectionCost& z,
-                                        const SortedLoads& others_load,
-                                        Kilowatts total);
-
 /// Convenience bundle when both the value and the allocation are needed.
 struct PaymentQuote {
   double payment = 0.0;

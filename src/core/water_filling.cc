@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "core/cost.h"
@@ -13,28 +12,36 @@
 namespace olev::core {
 
 // Real-time wall manifest (tools/olev_rtcheck.py): the repeated-query
-// members of SortedLoads and the volume evaluator are the allocation-free
-// water-filling kernel the serving path leans on.
+// members of SortedLoads and PriceCurve and the volume evaluator are the
+// allocation-free water-filling kernel the update paths lean on.
 OLEV_HOT_ROOT("olev::core::SortedLoads::reassign");
 OLEV_HOT_ROOT("olev::core::SortedLoads::level_for");
 OLEV_HOT_ROOT("olev::core::SortedLoads::fill_into");
 OLEV_HOT_ROOT("olev::core::water_fill_volume");
-OLEV_HOT_ROOT("olev::core::generalized_fill_into");
+OLEV_HOT_ROOT("olev::core::PriceCurve::reassign");
+OLEV_HOT_ROOT("olev::core::PriceCurve::price_for");
+OLEV_HOT_ROOT("olev::core::PriceCurve::fill_into");
+OLEV_RT_VCALL_OK("olev::core::PriceCurve::reassign",
+                 "CostPolicy::curvature dispatch; every override is a "
+                 "registered hot root");
 
 namespace {
 
 #if OLEV_AUDIT_ENABLED
-// Post-conditions shared by every water-filling solver (Lemma IV.1, the
-// conservation constraint of Eq. 12): the row is non-negative and finite,
-// sums back to the request, and satisfies water-level complementarity --
-// loaded sections sit exactly at the level, untouched sections at or above
-// it.  `tol` is relative (see audit::close); the exact solver passes 1e-9,
-// the bisection solvers pass a band derived from their own tolerance.
-// Opens a HotBypass: the checks below format strings, and fill_into runs
+// Post-conditions shared by every water-filling solver (Lemma IV.1 and its
+// per-section form, the conservation constraint of Eq. 12): the row is
+// non-negative and finite, sums back to the request, and satisfies the KKT
+// complementarity -- loaded sections sit exactly at the level, untouched
+// sections at or above it.  `level_at(c, x)` is section c's level at load x:
+// x itself for one cost (the water level), Z_c'(x) per section (the
+// marginal price).  `tol` is relative (see audit::close); the exact solvers
+// pass 1e-9, the bisection solver a band derived from its own tolerance.
+// Opens a HotBypass: the checks below format strings, and the fills run
 // them inside armed hot regions in audit builds.
+template <class LevelAt>
 void audit_fill(std::span<const double> others_load, double total,
                 std::span<const double> row, double level, double tol,
-                const char* who) {
+                const char* who, LevelAt level_at) {
   const util::audit::HotBypass hot_bypass;
   namespace audit = util::audit;
   OLEV_AUDIT_FINITE(total, who);
@@ -51,18 +58,17 @@ void audit_fill(std::span<const double> others_load, double total,
     OLEV_AUDIT_CHECK(fill >= 0.0, std::string(who) + ": negative allocation " +
                                       std::to_string(fill) + " on section " +
                                       std::to_string(c));
+    const double at = level_at(c, b + fill);
     if (fill > 0.0) {
-      OLEV_AUDIT_CHECK(audit::close(b + fill, level, tol),
+      OLEV_AUDIT_CHECK(audit::close(at, level, tol),
                        std::string(who) + ": loaded section " +
-                           std::to_string(c) + " off the water level: b+p=" +
-                           std::to_string(b + fill) + " level=" +
-                           std::to_string(level));
+                           std::to_string(c) + " off the level: " +
+                           std::to_string(at) + " vs " + std::to_string(level));
     } else {
-      OLEV_AUDIT_CHECK(b >= level - tol * std::max(1.0, std::abs(level)),
+      OLEV_AUDIT_CHECK(at >= level - tol * std::max(1.0, std::abs(level)),
                        std::string(who) + ": idle section " +
-                           std::to_string(c) + " below the water level: b=" +
-                           std::to_string(b) + " level=" +
-                           std::to_string(level));
+                           std::to_string(c) + " below the level: " +
+                           std::to_string(at) + " vs " + std::to_string(level));
     }
     sum += fill;
   }
@@ -71,6 +77,9 @@ void audit_fill(std::span<const double> others_load, double total,
                        std::to_string(sum) + ", request was " +
                        std::to_string(total));
 }
+
+// The one-cost level of a section at load x is x itself.
+constexpr auto kLoadLevel = [](std::size_t, double x) { return x; };
 #endif
 
 }  // namespace
@@ -172,7 +181,7 @@ double SortedLoads::fill_into(Kilowatts total_kw, std::span<double> row,
       if (fill > 0.0) ++active;
     }
     OLEV_AUDIT_ONLY(audit_fill(values(), total, row, level, 1e-9,
-                               "SortedLoads::fill");)
+                               "SortedLoads::fill", kLoadLevel);)
   }
   if (active_sections != nullptr) *active_sections = active;
   return level;
@@ -240,129 +249,121 @@ WaterFillResult water_fill_bisect(std::span<const double> others_load,
   // only holds to a band of that width (the exact solver audits at 1e-9).
   OLEV_AUDIT_ONLY(audit_fill(others_load, total, result.row, result.level,
                              std::max(1e-9, 10.0 * tolerance),
-                             "water_fill_bisect");)
+                             "water_fill_bisect", kLoadLevel);)
   return result;
+}
+
+PriceCurve::PriceCurve(std::span<const SectionCost* const> section_costs,
+                       std::span<const double> others_load) {
+  reserve(others_load.size());
+  reassign(section_costs, others_load);
+}
+
+void PriceCurve::reserve(std::size_t sections) {
+  if (sections > others_.size()) {
+    others_.resize(sections);
+    kinks_.resize(2 * sections);
+  }
+}
+
+void PriceCurve::reassign(std::span<const SectionCost* const> section_costs,
+                          std::span<const double> others_load) {
+  if (section_costs.size() != others_load.size() || others_load.empty() ||
+      others_load.size() > others_.size()) {
+    util::hot_fail_invalid_argument(
+        "PriceCurve: need one cost per section, at least one section and "
+        "no more than reserved");
+  }
+  costs_ = section_costs;
+  sections_ = others_load.size();
+  std::copy(others_load.begin(), others_load.end(), others_.begin());
+  // A kink's `slope` holds the change of dD/drho there until the fold below
+  // turns it into the slope above the kink: past its entry price section c
+  // adds 1/Z_c'', and past its cap price the overload term steepens Z_c''.
+  size_ = 0;
+  for (std::size_t c = 0; c < sections_; ++c) {
+    const SectionCost& cost = *section_costs[c];
+    const double curvature = cost.pricing().curvature();
+    if (!(curvature > 0.0)) {
+      util::hot_fail_invalid_argument(
+          "PriceCurve: every section needs a strictly convex cost (V'' > 0)");
+    }
+    const double b = others_load[c];
+    const double above = 1.0 / (curvature + 2.0 * cost.overload().weight);
+    const double below = b < cost.cap_kw() ? 1.0 / curvature : above;
+    kinks_[size_++] = {cost.derivative(b), 0.0, below};
+    if (below != above) {
+      kinks_[size_++] = {cost.derivative(cost.cap_kw()), 0.0, above - below};
+    }
+  }
+  std::sort(kinks_.begin(), kinks_.begin() + static_cast<std::ptrdiff_t>(size_),
+            [](const Kink& a, const Kink& b) { return a.price < b.price; });
+  double slope = 0.0;
+  for (std::size_t j = 0; j < size_; ++j) {
+    if (j > 0) {
+      kinks_[j].total =
+          kinks_[j - 1].total + slope * (kinks_[j].price - kinks_[j - 1].price);
+    }
+    slope += kinks_[j].slope;
+    kinks_[j].slope = slope;
+  }
+}
+
+double PriceCurve::price_for(Kilowatts total_kw) const {
+  const double total = total_kw.value();
+  if (size_ == 0 || total < 0.0) {
+    util::hot_fail_invalid_argument("PriceCurve: empty curve or negative total");
+  }
+  if (total == 0.0) return kinks_[0].price;
+  // The first breakpoint whose D reaches `total` ends its piece.
+  std::size_t lo = 1;
+  std::size_t hi = size_;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (total <= kinks_[mid].total) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return price_on(lo, total);
+}
+
+double PriceCurve::fill_into(Kilowatts total_kw, std::span<double> row,
+                             int* active_sections) const {
+  const double total = total_kw.value();
+  if (row.size() != sections_) {
+    util::hot_fail_invalid_argument("PriceCurve::fill_into: row length mismatch");
+  }
+  const double price = price_for(total_kw);
+  int active = 0;
+  for (std::size_t c = 0; c < sections_; ++c) {
+    row[c] = total == 0.0 ? 0.0
+                          : std::max(0.0, costs_[c]->derivative_inverse(price) -
+                                              others_[c]);
+    if (row[c] > 0.0) ++active;
+  }
+  OLEV_AUDIT_ONLY(audit_fill(
+      {others_.data(), sections_}, total, row, price, 1e-9, "PriceCurve::fill",
+      [this](std::size_t c, double x) { return costs_[c]->derivative(x); });)
+  if (active_sections != nullptr) *active_sections = active;
+  return price;
 }
 
 GeneralizedFillResult generalized_fill(
     std::span<const SectionCost* const> section_costs,
-    std::span<const double> others_load, Kilowatts total, double tolerance) {
+    std::span<const double> others_load, Kilowatts total) {
   for (const SectionCost* cost : section_costs) {
-    if (cost == nullptr || !cost->strictly_convex()) {
+    if (cost == nullptr || !cost->pricing().strictly_convex()) {
       throw std::invalid_argument(
           "generalized_fill: every section needs a strictly convex cost");
     }
   }
   GeneralizedFillResult result;
   result.row.resize(others_load.size());
-  result.marginal = generalized_fill_into(section_costs, others_load, total,
-                                          result.row, tolerance);
-  for (double v : result.row) {
-    if (v > 0.0) ++result.active_sections;
-  }
+  result.marginal = PriceCurve(section_costs, others_load)
+                        .fill_into(total, result.row, &result.active_sections);
   return result;
-}
-
-double generalized_fill_into(std::span<const SectionCost* const> section_costs,
-                             std::span<const double> others_load,
-                             Kilowatts total_kw, std::span<double> row,
-                             double tolerance) {
-  const double total = total_kw.value();
-  if (section_costs.size() != others_load.size() || section_costs.empty() ||
-      row.size() != others_load.size()) {
-    util::hot_fail_invalid_argument(
-        "generalized_fill_into: shape mismatch or empty");
-  }
-  if (total < 0.0) {
-    util::hot_fail_invalid_argument("generalized_fill_into: negative total");
-  }
-
-  // Allocation at a trial marginal price rho, written to `out` if non-null.
-  auto allocation_at = [&](double rho, double* out) {
-    double sum = 0.0;
-    for (std::size_t c = 0; c < section_costs.size(); ++c) {
-      const double target = section_costs[c]->derivative_inverse(rho);
-      const double fill = std::max(0.0, target - others_load[c]);
-      if (out != nullptr) out[c] = fill;
-      sum += fill;
-    }
-    return sum;
-  };
-
-  // rho must exceed the smallest marginal price at the current loads for
-  // any allocation to be positive.
-  double lo = std::numeric_limits<double>::infinity();
-  for (std::size_t c = 0; c < section_costs.size(); ++c) {
-    lo = std::min(lo, section_costs[c]->derivative(others_load[c]));
-  }
-  if (total == 0.0) {
-    std::fill(row.begin(), row.end(), 0.0);
-    return lo;
-  }
-  double hi = lo + 1.0;
-  int guard = 0;
-  while (allocation_at(hi, nullptr) < total && guard++ < 200) {
-    hi = lo + (hi - lo) * 2.0;
-  }
-  int iterations = 0;
-  while (hi - lo > tolerance * std::max(1.0, hi) && iterations < 200) {
-    const double mid = 0.5 * (lo + hi);
-    if (allocation_at(mid, nullptr) < total) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-    ++iterations;
-  }
-  const double marginal = 0.5 * (lo + hi);
-  allocation_at(marginal, row.data());
-  // Scale out the bisection dust.
-  double sum = 0.0;
-  for (double v : row) sum += v;
-  if (sum > 0.0) {
-    const double scale = total / sum;
-    for (double& v : row) v *= scale;
-  }
-#if OLEV_AUDIT_ENABLED
-  {
-    // Heterogeneous KKT contract: loaded sections equalize marginal cost at
-    // rho*, idle sections already price at or above it; the row conserves
-    // the request.  The band is wider than the homogeneous case because the
-    // bisection on rho stops at `tolerance`.
-    namespace audit = util::audit;
-    const double band = std::max(1e-6, 10.0 * tolerance);
-    double audit_sum = 0.0;
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      const double fill = row[c];
-      OLEV_AUDIT_FINITE(fill, "generalized_fill: row[" + std::to_string(c) + "]");
-      OLEV_AUDIT_CHECK(fill >= 0.0,
-                       "generalized_fill: negative allocation on section " +
-                           std::to_string(c));
-      audit_sum += fill;
-      const double marginal_here =
-          section_costs[c]->derivative(others_load[c] + fill);
-      if (fill > 0.0) {
-        OLEV_AUDIT_CHECK(
-            audit::close(marginal_here, marginal, band),
-            "generalized_fill: loaded section " + std::to_string(c) +
-                " off the marginal price: Z'=" + std::to_string(marginal_here) +
-                " rho*=" + std::to_string(marginal));
-      } else {
-        OLEV_AUDIT_CHECK(
-            marginal_here >=
-                marginal - band * std::max(1.0, std::abs(marginal)),
-            "generalized_fill: idle section " + std::to_string(c) +
-                " priced below rho*: Z'=" + std::to_string(marginal_here) +
-                " rho*=" + std::to_string(marginal));
-      }
-    }
-    OLEV_AUDIT_CHECK(audit::close(audit_sum, total, std::max(1e-9, tolerance)),
-                     "generalized_fill: allocation sums to " +
-                         std::to_string(audit_sum) + ", request was " +
-                         std::to_string(total));
-  }
-#endif
-  return marginal;
 }
 
 }  // namespace olev::core

@@ -116,40 +116,87 @@ class SortedLoads {
   std::size_t size_ = 0;
 };
 
+class SectionCost;  // cost.h
+
 /// Generalized water-filling for *heterogeneous* sections.
 ///
-/// The paper assumes one Z for every section, which reduces the KKT
-/// condition Z'(b_c + p_c) = rho to load equalization.  When sections have
-/// different cost curves Z_c (e.g. different safety caps because they sit
-/// on roads with different speed limits), the stationarity condition reads
+/// With one cost curve Z_c per section (e.g. different safety caps on roads
+/// with different speed limits), the KKT condition no longer equalizes
+/// loads but marginal prices:
 ///
-///   Z_c'(b_c + p_{n,c}) = rho*   on sections with p_{n,c} > 0,
-///   p_{n,c} = [ (Z_c')^{-1}(rho*) - b_c ]^+  otherwise,
+///   p_{n,c} = [ (Z_c')^{-1}(rho*) - b_c ]^+ ,   sum_c p_{n,c} = p_n ,
 ///
-/// and the unique rho* is found by bisection on the (strictly increasing)
-/// total allocation.  With identical costs this reduces exactly to
-/// water_fill (tested).
+/// so rho* is where the fill volume D(rho) = sum_c [(Z_c')^{-1}(rho) - b_c]^+
+/// reaches p_n.  With V_c'' > 0, Z_c' is affine with a positive slope on each
+/// side of section c's safety cap, so D is continuous and piecewise linear,
+/// kinked at each entry price Z_c'(b_c) and, while b_c < cap_c, at the cap
+/// price Z_c'(cap_c).  PriceCurve sorts those breakpoints and folds D across
+/// them once; price_for(total) is then a binary search and one division, and
+/// fill_into(...) one O(C) pass.  best_response_into walks the same
+/// breakpoints (core/best_response.h).  With identical costs this reduces to
+/// water_fill (property-tested).
+///
+/// Real-time discipline as SortedLoads: reserve is cold; reassign and the
+/// queries are hot roots and never allocate.  The curve keeps a view of the
+/// cost pointers it was built from, which must outlive it.
+class PriceCurve {
+ public:
+  PriceCurve() = default;
+  /// Cold: sizes storage for b, then reassign.
+  PriceCurve(std::span<const SectionCost* const> section_costs,
+             std::span<const double> others_load);
+
+  /// Pre-sizes storage for up to `sections` sections.  Cold: may allocate.
+  void reserve(std::size_t sections);
+  /// Re-seeds within previously reserved storage.  Hot: never allocates;
+  /// fails (cold throw) on an empty or mismatched shape, a b beyond the
+  /// reserved capacity or a cost with V'' <= 0.  O(C log C).
+  void reassign(std::span<const SectionCost* const> section_costs,
+                std::span<const double> others_load);
+
+  std::size_t sections() const { return sections_; }
+  /// Breakpoints j = 0..size()-1, ascending in price: price(0) is
+  /// min_c Z_c'(b_c) and total(0) = D(price(0)) = 0.
+  std::size_t size() const { return size_; }
+  double price(std::size_t j) const { return kinks_[j].price; }
+  double total(std::size_t j) const { return kinks_[j].total; }
+  /// rho* at `total` on piece j (1 <= j <= size()), the linear piece of D
+  /// that starts at breakpoint j - 1.
+  double price_on(std::size_t j, double total) const {
+    const Kink& from = kinks_[j - 1];
+    return from.price + (total - from.total) / from.slope;
+  }
+
+  /// rho* for the given total, exact on its linear piece of D.
+  [[nodiscard]] OLEV_HOT double price_for(Kilowatts total) const;
+  /// Writes the allocation at `total` into `row` (length must equal
+  /// sections()) and returns rho*.  Hot: never allocates.
+  OLEV_HOT double fill_into(Kilowatts total, std::span<double> row,
+                            int* active_sections = nullptr) const;
+
+ private:
+  struct Kink {
+    double price;
+    double total;
+    double slope;  ///< dD/drho above the kink
+  };
+  std::span<const SectionCost* const> costs_;
+  std::vector<double> others_;  ///< b; capacity is others_.size()
+  std::vector<Kink> kinks_;     ///< two per section of capacity
+  std::size_t sections_ = 0;
+  std::size_t size_ = 0;
+};
+
 struct GeneralizedFillResult {
   double marginal = 0.0;        ///< rho*
   std::vector<double> row;
   int active_sections = 0;
 };
-class SectionCost;  // cost.h
-/// Throws std::invalid_argument on a shape mismatch, an empty b, a null or
-/// not strictly convex cost, or a negative total.  Cold convenience wrapper
-/// around generalized_fill_into (the result row allocates).
+/// One-shot form of PriceCurve(section_costs, b).fill_into(total, row).
+/// Throws std::invalid_argument on a shape mismatch, an empty b, a null cost,
+/// a cost with V'' = 0 (D would jump at the cap price) or a negative total.
 [[nodiscard]] GeneralizedFillResult generalized_fill(
     std::span<const SectionCost* const> section_costs,
-    std::span<const double> others_load, Kilowatts total,
-    double tolerance = 1e-9);
-
-/// Writes the allocation at `total` into `row` (length must equal b's) and
-/// returns rho*; bit-identical to generalized_fill, which checks the costs
-/// (every one non-null and strictly convex) before delegating here.  Hot:
-/// never allocates.
-OLEV_HOT double generalized_fill_into(
-    std::span<const SectionCost* const> section_costs,
-    std::span<const double> others_load, Kilowatts total,
-    std::span<double> row, double tolerance = 1e-9);
+    std::span<const double> others_load, Kilowatts total);
 
 }  // namespace olev::core

@@ -1,16 +1,30 @@
 #include "traffic/routing.h"
 
 #include <algorithm>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <queue>
 #include <stdexcept>
+#include <string>
 
 namespace olev::traffic {
 namespace {
 // Floor on the adjusted edge cost: keeps Dijkstra valid under arbitrarily
 // large charging bonuses.
 constexpr double kMinEdgeCost = 1e-3;
+
+// `prefix` then the indices joined by '_' ("n0_1", "e0_0_0_1"), appended
+// into one string: chained operator+ on std::to_string temporaries trips
+// gcc 12's false-positive -Wrestrict at -O3 (GCC bug 105651).
+std::string node_name(char prefix, std::initializer_list<int> indices) {
+  std::string name(1, prefix);
+  for (const int index : indices) {
+    if (name.size() > 1) name += '_';
+    name += std::to_string(index);
+  }
+  return name;
+}
 }  // namespace
 
 double expected_edge_time_s(const Network& network, EdgeId edge_id) {
@@ -98,9 +112,8 @@ Network grid_city(int rows, int cols, double block_m, double speed_limit_mps,
   junctions.reserve(static_cast<std::size_t>(rows) * cols);
   for (int r = 0; r < rows; ++r) {
     for (int c = 0; c < cols; ++c) {
-      const JunctionId j = net.add_junction(
-          "n" + std::to_string(r) + "_" + std::to_string(c),
-          JunctionKind::kTrafficLight);
+      const JunctionId j =
+          net.add_junction(node_name('n', {r, c}), JunctionKind::kTrafficLight);
       SignalProgram staggered(program.phases(),
                               ((r + c) % 2) * 0.5 * program.cycle_length_s());
       net.set_junction_signal(j, net.add_signal(std::move(staggered)));
@@ -112,10 +125,8 @@ Network grid_city(int rows, int cols, double block_m, double speed_limit_mps,
   // Directed edge per ordered adjacent node pair.
   std::map<std::pair<std::size_t, std::size_t>, EdgeId> by_endpoints;
   auto add_directed = [&](int r1, int c1, int r2, int c2) {
-    const EdgeId edge = net.add_edge(
-        "e" + std::to_string(r1) + "_" + std::to_string(c1) + "_" +
-            std::to_string(r2) + "_" + std::to_string(c2),
-        block_m, speed_limit_mps, 1);
+    const EdgeId edge = net.add_edge(node_name('e', {r1, c1, r2, c2}), block_m,
+                                     speed_limit_mps, 1);
     net.set_edge_end(edge, junctions[node(r2, c2)]);
     by_endpoints[{node(r1, c1), node(r2, c2)}] = edge;
   };

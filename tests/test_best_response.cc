@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -19,13 +20,10 @@ SectionCost make_cost(double beta = 8.0, double cap = 50.0) {
                      OverloadCost{1.5}, olev::util::kw(cap));
 }
 
-/// Lemma IV.3 by plain bisection on the public F', run far past the
-/// solver's tolerance: the reference the segment solver is checked against.
-double reference_p_star(const Satisfaction& u, const SectionCost& z,
-                        const std::vector<double>& b, double p_max) {
-  auto f_prime = [&](double p) {
-    return utility_derivative(u, z, b, olev::util::kw(p));
-  };
+/// Lemma IV.3 by plain bisection on F', run far past the solver's
+/// tolerance.
+template <class FPrime>
+double bisect_p_star(FPrime f_prime, double p_max) {
   if (p_max == 0.0 || f_prime(0.0) <= 0.0) return 0.0;
   if (f_prime(p_max) >= 0.0) return p_max;
   double lo = 0.0;
@@ -35,6 +33,15 @@ double reference_p_star(const Satisfaction& u, const SectionCost& z,
     (f_prime(mid) > 0.0 ? lo : hi) = mid;
   }
   return 0.5 * (lo + hi);
+}
+
+/// The reference the segment solver is checked against: bisection on the
+/// public F'.
+double reference_p_star(const Satisfaction& u, const SectionCost& z,
+                        const std::vector<double>& b, double p_max) {
+  return bisect_p_star(
+      [&](double p) { return utility_derivative(u, z, b, olev::util::kw(p)); },
+      p_max);
 }
 
 /// F' evaluations an interior solve may take: a binary search over the C
@@ -285,6 +292,158 @@ TEST(SegmentSolver, QuadraticSatiationBelowCap) {
   EXPECT_NEAR(utility_derivative(u, z, b, olev::util::kw(r.p_star)), 0.0,
               1e-8);
   expect_matches_reference(r, u, z, b, 60.0);
+}
+
+// --- the same solver on a per-section price curve ---------------------------
+
+/// Psi'(p) on a per-section corridor without PriceCurve: the price rho at
+/// which D(rho) = sum_c [(Z_c')^{-1}(rho) - b_c]^+ reaches p, bisected on
+/// SectionCost::derivative_inverse.
+double reference_price(const std::vector<const SectionCost*>& costs,
+                       const std::vector<double>& b, double p) {
+  auto volume = [&](double rho) {
+    double sum = 0.0;
+    for (std::size_t c = 0; c < b.size(); ++c) {
+      sum += std::max(0.0, costs[c]->derivative_inverse(rho) - b[c]);
+    }
+    return sum;
+  };
+  double lo = std::numeric_limits<double>::infinity();
+  for (std::size_t c = 0; c < b.size(); ++c) {
+    lo = std::min(lo, costs[c]->derivative(b[c]));
+  }
+  if (p == 0.0) return lo;
+  double hi = lo + 1.0;
+  while (volume(hi) < p) hi = lo + 2.0 * (hi - lo);
+  for (int it = 0; it < 200 && hi - lo > 1e-15 * hi; ++it) {
+    const double mid = 0.5 * (lo + hi);
+    (volume(mid) < p ? lo : hi) = mid;
+  }
+  return 0.5 * (lo + hi);
+}
+
+/// Lemma IV.3 on a per-section corridor: bisection on
+/// F'(p) = U'(p) - reference_price(p).
+double reference_per_section_p_star(const Satisfaction& u,
+                                    const std::vector<const SectionCost*>& costs,
+                                    const std::vector<double>& b,
+                                    double p_max) {
+  return bisect_p_star(
+      [&](double p) { return u.derivative(p) - reference_price(costs, b, p); },
+      p_max);
+}
+
+/// A random per-section corridor: C in [1, 60], caps 10-90 kW with
+/// p_ref = cap, overload weights 0.5-3, and b_c up to 1.5x its own cap.
+struct Corridor {
+  std::vector<SectionCost> costs;
+  std::vector<double> b;
+
+  std::vector<const SectionCost*> pointers() const {
+    std::vector<const SectionCost*> out;
+    for (const SectionCost& cost : costs) out.push_back(&cost);
+    return out;
+  }
+};
+
+Corridor random_corridor(util::Rng& rng) {
+  Corridor corridor;
+  const auto sections = static_cast<std::size_t>(rng.uniform_int(1, 60));
+  for (std::size_t c = 0; c < sections; ++c) {
+    const double cap = rng.uniform(10.0, 90.0);
+    corridor.costs.emplace_back(
+        std::make_unique<NonlinearPricing>(rng.uniform(1.0, 20.0), 0.875, cap),
+        OverloadCost{rng.uniform(0.5, 3.0)}, olev::util::kw(cap));
+    corridor.b.push_back(rng.uniform(0.0, 1.5 * cap));
+  }
+  return corridor;
+}
+
+TEST(PerSectionSolver, RandomCorridorsMatchReferenceAndKkt) {
+  util::Rng rng(0x5ec7);
+  for (int trial = 0; trial < 60; ++trial) {
+    const Corridor corridor = random_corridor(rng);
+    const std::vector<const SectionCost*> costs = corridor.pointers();
+    const std::vector<double>& b = corridor.b;
+    const PriceCurve curve(costs, b);
+    const double weight = rng.uniform(1.0, 50.0);
+    const double p_max = rng.uniform(1.0, 150.0);
+    const LogSatisfaction log_u(weight);
+    const SqrtSatisfaction sqrt_u(weight);
+    const QuadraticSatisfaction quadratic_u(weight, rng.uniform(5.0, 200.0));
+    for (const Satisfaction* u :
+         {static_cast<const Satisfaction*>(&log_u),
+          static_cast<const Satisfaction*>(&sqrt_u),
+          static_cast<const Satisfaction*>(&quadratic_u)}) {
+      std::vector<double> row(b.size());
+      const BestResponseScalars r =
+          best_response_into(*u, curve, olev::util::kw(p_max), row);
+      const double expected = reference_per_section_p_star(*u, costs, b, p_max);
+      EXPECT_NEAR(r.p_star, expected, 1e-9 * std::max(1.0, expected))
+          << "trial " << trial << " C=" << b.size();
+      if (r.kind == BestResponse::Case::kInterior) {
+        EXPECT_LE(r.iterations, evaluation_bound(2 * b.size()))
+            << "trial " << trial;
+      } else {
+        EXPECT_EQ(r.iterations, 0) << "trial " << trial;
+      }
+
+      // KKT of the fill at p*: loaded sections share Z_c' = rho*, idle ones
+      // price at or above it, and the row sums to p*.
+      const double rho = r.level;
+      double sum = 0.0;
+      for (std::size_t c = 0; c < b.size(); ++c) {
+        ASSERT_GE(row[c], 0.0);
+        sum += row[c];
+        const double marginal = costs[c]->derivative(b[c] + row[c]);
+        if (row[c] > 0.0) {
+          EXPECT_NEAR(marginal, rho, 1e-9 * rho)
+              << "trial " << trial << " section " << c;
+        } else {
+          EXPECT_GE(marginal, rho * (1.0 - 1e-9))
+              << "trial " << trial << " section " << c;
+        }
+      }
+      EXPECT_NEAR(sum, r.p_star, 1e-9 * std::max(1.0, r.p_star))
+          << "trial " << trial;
+    }
+  }
+}
+
+TEST(PerSectionSolver, IdenticalCostsMatchTheOneCostSolver) {
+  util::Rng rng(0x1dc7);
+  for (int trial = 0; trial < 100; ++trial) {
+    const auto sections = static_cast<std::size_t>(rng.uniform_int(1, 60));
+    const double cap = rng.uniform(10.0, 90.0);
+    const SectionCost z(
+        std::make_unique<NonlinearPricing>(rng.uniform(1.0, 20.0), 0.875, cap),
+        OverloadCost{rng.uniform(0.5, 3.0)}, olev::util::kw(cap));
+    // Every fourth corridor has equal loads, so every entry price ties.
+    std::vector<double> b(sections, rng.uniform(0.0, 1.5 * cap));
+    if (trial % 4 != 0) {
+      for (double& v : b) v = rng.uniform(0.0, 1.5 * cap);
+    }
+    const std::vector<const SectionCost*> costs(sections, &z);
+    const PriceCurve curve(costs, b);
+    const SortedLoads sorted(b);
+    const double weight = rng.uniform(1.0, 50.0);
+    const double p_max = rng.uniform(1.0, 150.0);
+    const LogSatisfaction log_u(weight);
+    const SqrtSatisfaction sqrt_u(weight);
+    const QuadraticSatisfaction quadratic_u(weight, rng.uniform(5.0, 200.0));
+    for (const Satisfaction* u :
+         {static_cast<const Satisfaction*>(&log_u),
+          static_cast<const Satisfaction*>(&sqrt_u),
+          static_cast<const Satisfaction*>(&quadratic_u)}) {
+      std::vector<double> row(sections);
+      const double per_section =
+          best_response_into(*u, curve, olev::util::kw(p_max), row).p_star;
+      const double one_cost =
+          best_response_into(*u, z, sorted, olev::util::kw(p_max), row).p_star;
+      EXPECT_NEAR(per_section, one_cost, 1e-9 * std::max(1.0, one_cost))
+          << "trial " << trial << " C=" << sections;
+    }
+  }
 }
 
 TEST(UtilityDerivative, MatchesComponents) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -40,6 +41,13 @@ TEST(GeneralizedFill, RejectsLinearSections) {
   const auto ptrs = pointers(costs);
   const std::vector<double> b{0.0};
   EXPECT_THROW((void)generalized_fill(ptrs, b, olev::util::kw(1.0)), std::invalid_argument);
+  // V'' = 0 plus an overload hinge: the fill volume D jumps at the cap
+  // price, so a linear V is rejected with the hinge too.
+  std::vector<SectionCost> hinged;
+  hinged.emplace_back(std::make_unique<LinearPricing>(2.0), OverloadCost{1.5},
+                      olev::util::kw(40.0));
+  EXPECT_THROW((void)generalized_fill(pointers(hinged), b, olev::util::kw(1.0)),
+               std::invalid_argument);
 }
 
 TEST(GeneralizedFill, HomogeneousReducesToWaterFill) {
@@ -145,6 +153,35 @@ TEST(GeneralizedFill, ZeroTotalReportsMinMarginal) {
   EXPECT_NEAR(result.marginal,
               std::min(costs[0].derivative(0.0), costs[1].derivative(0.0)),
               1e-12);
+}
+
+TEST(PriceCurve, TotalsAreTheFillVolumeAtEveryBreakpoint) {
+  // Sections below, at and above their caps: the folded totals must equal
+  // D(rho) = sum_c [(Z_c')^{-1}(rho) - b_c]^+ summed afresh at each price,
+  // and price_for must invert them.
+  std::vector<SectionCost> costs;
+  for (double cap : {20.0, 60.0, 35.0, 45.0}) costs.push_back(make_cost(cap));
+  const auto ptrs = pointers(costs);
+  const std::vector<double> b{4.0, 60.0, 50.0, 0.0};
+  const PriceCurve curve(ptrs, b);
+  ASSERT_EQ(curve.sections(), b.size());
+  // Two kinks for each of the two sections below their caps, one each above.
+  ASSERT_EQ(curve.size(), 6u);
+  EXPECT_EQ(curve.total(0), 0.0);
+  for (std::size_t j = 0; j < curve.size(); ++j) {
+    double volume = 0.0;
+    for (std::size_t c = 0; c < b.size(); ++c) {
+      volume += std::max(0.0, costs[c].derivative_inverse(curve.price(j)) - b[c]);
+    }
+    EXPECT_NEAR(curve.total(j), volume, 1e-9 * std::max(1.0, volume))
+        << "breakpoint " << j;
+    if (j > 0) {
+      EXPECT_GE(curve.price(j), curve.price(j - 1)) << "breakpoint " << j;
+      EXPECT_NEAR(curve.price_for(olev::util::kw(curve.total(j))),
+                  curve.price(j), 1e-9 * curve.price(j))
+          << "breakpoint " << j;
+    }
+  }
 }
 
 }  // namespace

@@ -55,6 +55,14 @@ TEST(HeteroGame, Validation) {
                       olev::util::kw(40.0));
   EXPECT_THROW(Game(make_players({10.0}), std::move(linear), {50.0}),
                std::invalid_argument);
+  // V'' = 0 plus an overload hinge: the fill volume jumps at the cap price,
+  // so the per-section corridor rejects it as well.
+  std::vector<SectionCost> hinged;
+  hinged.emplace_back(std::make_unique<LinearPricing>(1.0), OverloadCost{1.5},
+                      olev::util::kw(40.0));
+  hinged.push_back(make_cost(40.0));
+  EXPECT_THROW(Game(make_players({10.0}), std::move(hinged), {50.0, 50.0}),
+               std::invalid_argument);
   auto masked = make_players({10.0});
   masked[0].allowed_sections = {true, true};
   EXPECT_THROW(Game(std::move(masked), uniform_costs(2, 40.0), {50.0, 50.0}),

@@ -1,7 +1,7 @@
 // Property tests for the mean-field pricing engine (core/mean_field.h):
 // construction contracts, fixed-point self-consistency, representative-player
 // KKT conditions, payment sign, welfare monotonicity of the field iteration,
-// background water-filling, histogram compression, the closed-form
+// background water-filling, the closed-form
 // (U')^{-1} implementations, determinism, and schedule materialization.
 // The *accuracy* of the approximation against the exact game lives in
 // test_meanfield_vs_exact.cc.
@@ -292,31 +292,6 @@ TEST(MeanFieldGame, ScenarioFactoryMintsWorkingEngine) {
   EXPECT_GT(result.welfare, 0.0);
   // Calibration steers the field toward the target congestion degree.
   EXPECT_NEAR(result.congestion.mean, 0.9, 0.15);
-}
-
-TEST(FieldHistogram, BucketsCoverEveryLoad) {
-  const std::vector<double> loads{1.0, 2.0, 2.5, 3.0, 10.0, 10.0};
-  const FieldHistogram histogram = field_histogram(loads, 4);
-  ASSERT_EQ(histogram.lower_bounds.size(), 4u);
-  ASSERT_EQ(histogram.counts.size(), 4u);
-  EXPECT_EQ(histogram.min_load, 1.0);
-  EXPECT_EQ(histogram.max_load, 10.0);
-  std::size_t total = 0;
-  for (std::size_t count : histogram.counts) total += count;
-  EXPECT_EQ(total, loads.size());
-  // The max load lands in the top bucket, not one past the end.
-  EXPECT_GE(histogram.counts.back(), 2u);
-}
-
-TEST(FieldHistogram, HandlesUniformAndEmptyInput) {
-  EXPECT_THROW(field_histogram({}, 0), std::invalid_argument);
-  const FieldHistogram empty = field_histogram({}, 4);
-  EXPECT_TRUE(empty.lower_bounds.empty());
-  const std::vector<double> uniform{5.0, 5.0, 5.0};
-  const FieldHistogram flat = field_histogram(uniform, 3);
-  std::size_t total = 0;
-  for (std::size_t count : flat.counts) total += count;
-  EXPECT_EQ(total, uniform.size());
 }
 
 // The closed-form (U')^{-1} implementations must agree with the base

@@ -30,8 +30,17 @@ std::string params_name(const ::testing::TestParamInfo<PricingParams>& info) {
     }
     return s;
   };
-  return "b" + clean(info.param.beta) + "_a" + clean(info.param.alpha) + "_c" +
-         clean(info.param.cap) + "_w" + clean(info.param.overload_weight);
+  // Appended into one string: chained operator+ trips gcc 12's false-positive
+  // -Wrestrict at -O3 (GCC bug 105651).
+  std::string name = "b";
+  name += clean(info.param.beta);
+  name += "_a";
+  name += clean(info.param.alpha);
+  name += "_c";
+  name += clean(info.param.cap);
+  name += "_w";
+  name += clean(info.param.overload_weight);
+  return name;
 }
 
 class PricingCalculus : public ::testing::TestWithParam<PricingParams> {

@@ -87,7 +87,7 @@ TEST(WaterFillProperty, SolversAgreeAndInvariantsHold) {
     const WaterFillResult bisect = water_fill_bisect(b, olev::util::kw(total), 1e-13);
     std::vector<const SectionCost*> costs(b.size(), &shared_cost);
     const GeneralizedFillResult general =
-        generalized_fill(costs, b, olev::util::kw(total), 1e-13);
+        generalized_fill(costs, b, olev::util::kw(total));
 
     // Conservation and non-negativity for every solver.
     EXPECT_NEAR(sum_of(exact.row), total, tol(total)) << "trial " << trial;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/payment.h"
 #include "obs/obs.h"
@@ -31,7 +32,8 @@ obs::Counter& g_obs_solves =
     obs::Registry::instance().counter("core.best_response.solves");
 // Corner solutions report 0 iterations; interior ones their F' evaluations.
 obs::Histogram& g_obs_iterations = obs::Registry::instance().histogram(
-    "core.best_response.iterations", {0, 4, 8, 12, 16, 24, 32, 48});
+    "core.best_response.iterations",
+    std::vector<double>(kIterationBounds.begin(), kIterationBounds.end()));
 }  // namespace
 #endif
 
@@ -87,10 +89,7 @@ struct LevelCurve {
 };
 
 // Lemma IV.3 on either curve (LevelCurve or PriceCurve): the corner tests,
-// the segment search, the hinge split and the Illinois secant.  A class
-// template, not function templates: the vcall allowance above matches its
-// members by name, while a function template demangles with its return type
-// first.
+// the segment search, the hinge split and the Illinois secant.
 template <class Curve>
 struct SegmentSolver {
   const Satisfaction& u;
@@ -216,8 +215,6 @@ struct SegmentSolver {
     }
     result.level = curve.fill_into(Kilowatts{result.p_star}, row,
                                    &result.active_sections);
-    OLEV_OBS_ONLY(g_obs_solves.add(1); g_obs_iterations.observe(
-        static_cast<double>(result.iterations));)
     OLEV_AUDIT_FINITE(result.p_star, "best_response: p_star");
     return result;
   }
@@ -251,7 +248,20 @@ BestResponse best_response(const Satisfaction& u, const SectionCost& z,
   OLEV_AUDIT_FINITE(response.utility, "best_response: utility");
   response.iterations = scalars.iterations;
   response.kind = scalars.kind;
+  OLEV_OBS_ONLY(g_obs_solves.add(1);
+                g_obs_iterations.observe(response.iterations);)
   return response;
+}
+
+void BestResponseTally::flush() {
+#if OLEV_OBS_ENABLED
+  std::uint64_t solves = 0;
+  for (std::uint64_t count : counts_) solves += count;
+  if (solves == 0) return;
+  g_obs_solves.add(solves);
+  g_obs_iterations.merge(counts_, static_cast<double>(iteration_sum_));
+#endif
+  *this = BestResponseTally{};
 }
 
 BestResponseScalars best_response_into(const Satisfaction& u,

@@ -24,6 +24,9 @@
 // row is then filled at p* on the same curve.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <span>
 
 #include "core/cost.h"
@@ -70,7 +73,9 @@ struct BestResponseScalars {
 /// Real-time core of the solver (util/hot.h): writes the row allocation at
 /// p* into `row` (length must equal others_load.size()) and never touches
 /// the allocator.  The SortedLoads overload of best_response delegates here,
-/// so p* and the row are bit-identical.
+/// so p* and the row are bit-identical.  It records no telemetry: the
+/// best_response overloads observe each call, and a caller that solves in
+/// a loop keeps a BestResponseTally.
 [[nodiscard]] OLEV_HOT BestResponseScalars best_response_into(
     const Satisfaction& u, const SectionCost& z,
     const SortedLoads& others_load, Kilowatts p_max, std::span<double> row);
@@ -81,6 +86,29 @@ struct BestResponseScalars {
 [[nodiscard]] OLEV_HOT BestResponseScalars best_response_into(
     const Satisfaction& u, const PriceCurve& curve, Kilowatts p_max,
     std::span<double> row);
+
+/// Bucket bounds of the `core.best_response.iterations` histogram.
+inline constexpr std::array<double, 8> kIterationBounds = {0,  4,  8,  12,
+                                                           16, 24, 32, 48};
+
+/// Plain (non-atomic) tally of `core.best_response.solves` and the
+/// `core.best_response.iterations` buckets, for a caller that solves in a
+/// loop: add() per solve costs a few register ops, and flush() adds the
+/// tally to the obs registry in one go and zeroes it.
+class BestResponseTally {
+ public:
+  void add(const BestResponseScalars& response) {
+    const double iterations = static_cast<double>(response.iterations);
+    const auto bucket = std::ranges::lower_bound(kIterationBounds, iterations);
+    ++counts_[static_cast<std::size_t>(bucket - kIterationBounds.begin())];
+    iteration_sum_ += static_cast<std::uint64_t>(response.iterations);
+  }
+  void flush();
+
+ private:
+  std::array<std::uint64_t, kIterationBounds.size() + 1> counts_{};
+  std::uint64_t iteration_sum_ = 0;
+};
 
 /// F'_n(p): marginal utility of requesting one more unit of power.
 [[nodiscard]] double utility_derivative(const Satisfaction& u, const SectionCost& z,

@@ -14,28 +14,14 @@ namespace olev::core {
 
 // Real-time wall manifest (tools/olev_rtcheck.py).  update_player / step are
 // the per-vehicle serving quantum: everything below them runs out of the
-// pre-sized arenas.  The two vcall allowances cover satisfaction / pricing
+// pre-sized arenas.  The vcall allowance covers satisfaction / pricing
 // dispatch whose concrete overrides are themselves registered hot roots
 // (core/satisfaction.cc, core/cost.cc).
 OLEV_HOT_ROOT("olev::core::Game::update_player");
 OLEV_HOT_ROOT("olev::core::Game::step");
-OLEV_RT_VCALL_OK("olev::core::Game::commit_row",
-                 "Satisfaction::value dispatch; every override is a "
-                 "registered hot root");
 OLEV_RT_VCALL_OK("olev::core::Game::update_greedy",
                  "Satisfaction/CostPolicy dispatch; every override is a "
                  "registered hot root");
-
-#if OLEV_OBS_ENABLED
-namespace {
-// Eagerly-bound obs handles: a function-local static would put
-// __cxa_guard_acquire and the registry lock on the hot path.
-obs::Counter& g_obs_section_reuses =
-    obs::Registry::instance().counter("core.game.section_cost_reuses");
-obs::Counter& g_obs_section_refreshes =
-    obs::Registry::instance().counter("core.game.section_cost_refreshes");
-}  // namespace
-#endif
 
 Game::Game(std::vector<PlayerSpec> players, SectionCost cost,
            std::size_t sections, util::Kilowatts p_line, GameConfig config)
@@ -120,15 +106,9 @@ void Game::build() {
 
 void Game::rebuild_caches() {
   column_totals_ = schedule_.column_totals();
-  cost_values_.resize(sections_);
-  for (std::size_t c = 0; c < sections_; ++c) {
-    cost_values_[c] = section_costs_[c]->value(column_totals_[c]);
-  }
   row_totals_.resize(players_.size());
-  sat_values_.resize(players_.size());
   for (std::size_t n = 0; n < players_.size(); ++n) {
     row_totals_[n] = schedule_.row_total(n);
-    sat_values_[n] = players_[n].satisfaction->value(row_totals_[n]);
   }
   // Hot-path arenas: sized once here so update_player never allocates.
   scratch_others_.assign(sections_, 0.0);
@@ -155,35 +135,21 @@ void Game::commit_row(std::size_t player, std::span<const double> others,
   // bit-identical to a recomputation.
   double row_total = 0.0;
   for (double v : row) row_total += v;
-  // Tally into locals and flush once below: one registry add per commit
-  // instead of one per section keeps the hot loop free of atomics.
-  std::size_t reuses = 0;
+  row_totals_[player] = row_total;
   std::size_t refreshes = 0;
   for (std::size_t c = 0; c < sections_; ++c) {
     const double updated = others[c] + row[c];
-    if (updated == column_totals_[c]) {
-      ++reuses;
-      continue;
-    }
+    if (updated != column_totals_[c]) ++refreshes;
     column_totals_[c] = updated;
-    cost_values_[c] = section_costs_[c]->value(updated);
-    ++refreshes;
   }
-  caches_.section_cost_reuses += reuses;
+  caches_.section_cost_reuses += sections_ - refreshes;
   caches_.section_cost_refreshes += refreshes;
-  OLEV_OBS_ONLY(g_obs_section_reuses.add(reuses);
-                g_obs_section_refreshes.add(refreshes);)
-  if (row_total != row_totals_[player]) {
-    row_totals_[player] = row_total;
-    sat_values_[player] = players_[player].satisfaction->value(row_total);
-  }
 
 #if OLEV_AUDIT_ENABLED
-  // Cache-coherence audit: every incrementally maintained aggregate must
-  // match a from-scratch recompute.  Derived cells (cost of a cached total,
-  // satisfaction of a cached row total) are pure functions of cached inputs
-  // and must match to the bit; the column totals themselves are maintained
-  // by +/- deltas, so they only agree with a fresh fold-left sum to
+  // Cache-coherence audit: every incrementally maintained total must match
+  // a from-scratch recompute.  A row total is the same fold as the
+  // schedule's and must match to the bit; the column totals are kept as
+  // others + row, so they only agree with a fresh fold-left sum to
   // rounding (1e-9 relative catches any stale cell, which would be off by
   // a whole allocation, not an ulp).
   {
@@ -196,18 +162,11 @@ void Game::commit_row(std::size_t player, std::span<const double> others,
           "commit_row: cached column total " + std::to_string(c) + " = " +
               std::to_string(column_totals_[c]) + " drifted from schedule " +
               std::to_string(schedule_.column_total(c)));
-      OLEV_AUDIT_CHECK(
-          cost_values_[c] == section_costs_[c]->value(column_totals_[c]),
-          "commit_row: stale cost cell " + std::to_string(c));
     }
     for (std::size_t n = 0; n < players_.size(); ++n) {
       OLEV_AUDIT_CHECK(row_totals_[n] == schedule_.row_total(n),
                        "commit_row: stale row total for player " +
                            std::to_string(n));
-      OLEV_AUDIT_CHECK(
-          sat_values_[n] == players_[n].satisfaction->value(row_totals_[n]),
-          "commit_row: stale satisfaction cell for player " +
-              std::to_string(n));
     }
   }
 #endif
@@ -224,6 +183,7 @@ double Game::update_waterfill(std::size_t player,
     const BestResponseScalars response =
         best_response_into(*players_[player].satisfaction, costs_.front(),
                            scratch_sorted_, players_[player].p_max, row);
+    OLEV_OBS_ONLY(tally_.add(response);)
 #if OLEV_AUDIT_ENABLED
     // Eq. 8-9: the externality payment of a non-negative allocation against
     // a nondecreasing Z is non-negative (VCG individual rationality).  Only
@@ -262,6 +222,7 @@ double Game::update_waterfill(std::size_t player,
     const BestResponseScalars response =
         best_response_into(*players_[player].satisfaction, costs_.front(),
                            scratch_sorted_, players_[player].p_max, subrow);
+    OLEV_OBS_ONLY(tally_.add(response);)
     p_star = response.p_star;
     for (std::size_t i = 0; i < admissible; ++i) {
       scratch_row_[scratch_positions_[i]] = subrow[i];
@@ -279,6 +240,7 @@ double Game::update_per_section(std::size_t player,
   const BestResponseScalars response =
       best_response_into(*players_[player].satisfaction, scratch_curve_,
                          players_[player].p_max, row);
+  OLEV_OBS_ONLY(tally_.add(response);)
 #if OLEV_AUDIT_ENABLED
   const double payment = externality_payment(section_costs_, others, row);
   OLEV_AUDIT_FINITE(payment, "update_per_section: payment");
@@ -357,11 +319,12 @@ std::size_t Game::pick_player() {
 double Game::step() { return update_player(pick_player()); }
 
 double Game::current_welfare() const {
-  // O(N + C) over the cached values; no satisfaction or cost re-evaluation.
   double welfare = 0.0;
-  for (double satisfaction : sat_values_) welfare += satisfaction;
+  for (std::size_t n = 0; n < players_.size(); ++n) {
+    welfare += players_[n].satisfaction->value(row_totals_[n]);
+  }
   for (std::size_t c = 0; c < sections_; ++c) {
-    welfare -= cost_values_[c] - idle_costs_[c];
+    welfare -= section_costs_[c]->value(column_totals_[c]) - idle_costs_[c];
   }
   return welfare;
 }
@@ -393,12 +356,13 @@ GameResult Game::run(bool warm_start) {
   // such guarantee (linear pricing never internalizes the overload cost), so
   // the audit only arms for the water-filling scheduler.
   OLEV_AUDIT_ONLY(double audit_welfare = current_welfare();)
+  OLEV_OBS_ONLY(const bool fine = obs::Tracer::instance().fine_enabled();)
 
   while (updates < config_.max_updates) {
     const std::size_t player = pick_player();
     const double previous = row_totals_[player];
     // Fine detail only: one span per player update swamps a phase trace.
-    OLEV_OBS_FINE_SPAN(update_span, "game.update", "solver");
+    OLEV_OBS_FINE_SPAN(update_span, fine, "game.update", "solver");
     const double delta = update_player(player);
     ++updates;
 
@@ -445,6 +409,7 @@ GameResult Game::run(bool warm_start) {
     }
   }
 
+  OLEV_OBS_ONLY(tally_.flush();)
   OLEV_OBS_COUNTER(obs_runs, "core.game.runs");
   OLEV_OBS_ADD(obs_runs, 1);
   OLEV_OBS_HISTOGRAM(obs_updates, "core.game.updates_per_run",

@@ -34,6 +34,7 @@
 #include "core/satisfaction.h"
 #include "core/schedule.h"
 #include "core/welfare.h"
+#include "obs/obs.h"
 #include "util/quantity.h"
 #include "util/rng.h"
 
@@ -60,23 +61,18 @@ struct GameConfig {
 };
 
 /// Counters for the incremental-update caches (cumulative since the last
-/// reset).  `section_*` counts per-section cost cells in commit_row: a
-/// reuse means the section's load did not change, so Z(P_c) kept its
-/// cached value.  `response_*` always read 0: Game keeps no best-response
-/// memo, and the fields stay only because the benchmark still reports
-/// them (perfbench/solve_paper.cc).
-///
-/// This struct is the per-Game view; every section increment is mirrored
-/// into the process-wide obs registry under `core.game.*`
-/// (docs/OBSERVABILITY.md), which aggregates across all Game instances and
-/// threads.
+/// reset).  `section_*` count the column totals commit_row writes: a reuse
+/// is a section whose load the update left unchanged, a refresh one it
+/// changed.  `response_*` always read 0: Game keeps no best-response memo,
+/// and the fields stay only because the benchmark still reports them
+/// (perfbench/solve_paper.cc).
 struct CacheCounters {
   std::size_t response_cache_hits = 0;  ///< always 0 (no memo)
   std::size_t response_recomputes = 0;  ///< always 0 (no memo)
   std::size_t section_cost_reuses = 0;
   std::size_t section_cost_refreshes = 0;
 
-  /// Fraction of per-section cost cells reused without re-evaluating Z.
+  /// Fraction of column totals an update left unchanged.
   double section_reuse_ratio() const {
     const std::size_t total = section_cost_reuses + section_cost_refreshes;
     return total == 0 ? 0.0
@@ -144,7 +140,9 @@ class Game {
   /// `warm_start`.
   [[nodiscard]] GameResult run(bool warm_start = false);
 
-  /// Metrics snapshot of the current schedule.
+  /// Metrics snapshot of the current schedule.  current_welfare() evaluates
+  /// sum_n U_n(p_n) - sum_c (Z_c(P_c) - Z_c(0)) over the cached row and
+  /// column totals when asked: O(N + C) satisfaction and cost calls.
   double current_welfare() const;
   CongestionReport current_congestion() const;
 
@@ -158,9 +156,8 @@ class Game {
   /// b for `player`: cached column totals minus the player's own row,
   /// written into `out` (length C).  Never allocates.
   void others_load_into(std::size_t player, std::span<double> out) const;
-  /// Writes the new row and refreshes the cached column totals, per-section
-  /// cost values, row totals and satisfaction values -- all by delta, only
-  /// for the sections whose load actually changed.
+  /// Writes the new row and refreshes the cached column totals (others +
+  /// row) and the player's row total.
   void commit_row(std::size_t player, std::span<const double> others,
                   std::span<const double> row);
   double update_waterfill(std::size_t player, std::span<const double> others);
@@ -183,11 +180,9 @@ class Game {
   std::vector<double> p_lines_kw_;  ///< P_line per section
   GameConfig config_;
   PowerSchedule schedule_;
-  std::vector<double> column_totals_;  ///< cached P_c, kept in sync with schedule_
   // --- incremental hot-path caches (invariants in docs/ALGORITHMS.md) ---
-  std::vector<double> cost_values_;   ///< Z_c(P_c) per section
-  std::vector<double> row_totals_;    ///< p_n per player
-  std::vector<double> sat_values_;    ///< U_n(p_n) per player
+  std::vector<double> column_totals_;  ///< P_c per section (others + row)
+  std::vector<double> row_totals_;     ///< p_n per player
   // --- pre-sized hot-path arenas (rebuild_caches sizes them; update_player
   // --- and everything below it never allocate) ---
   std::vector<double> scratch_others_;        ///< b of the updating player
@@ -198,6 +193,11 @@ class Game {
   SortedLoads scratch_sorted_;                ///< reserved to C sections
   PriceCurve scratch_curve_;  ///< reserved to C sections (one cost each)
   CacheCounters caches_;
+#if OLEV_OBS_ENABLED
+  /// Best-response telemetry of the updates since the last flush; run()
+  /// adds it to the obs registry once, when it returns.
+  BestResponseTally tally_;
+#endif
   util::Rng rng_;
   std::size_t cursor_ = 0;  // round-robin position
 };

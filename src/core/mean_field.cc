@@ -161,7 +161,6 @@ double MeanFieldGame::welfare_at(double total, double* responded_total) const {
 MeanFieldResult MeanFieldGame::run() {
   OLEV_OBS_SPAN(run_span, "meanfield.run", "solver");
   MeanFieldResult result;
-  const double n_players = static_cast<double>(players_.size());
 
   // The fixed point T* of T -> sum_n p_n(Z'(lambda(T))) is unique: the
   // response sum is nonincreasing in T while the identity is increasing.
@@ -389,7 +388,7 @@ MeanFieldResult MeanFieldGame::run() {
                      {5, 10, 20, 40, 80, 160, 320, 640});
   OLEV_OBS_OBSERVE(obs_iterations, static_cast<double>(iterations));
   OLEV_OBS_SPAN_ARG(run_span, "iterations", static_cast<double>(iterations));
-  OLEV_OBS_SPAN_ARG(run_span, "players", n_players);
+  OLEV_OBS_SPAN_ARG(run_span, "players", static_cast<double>(players_.size()));
   OLEV_OBS_SPAN_ARG(run_span, "converged", converged ? 1.0 : 0.0);
   return result;
 }

@@ -68,11 +68,23 @@ void PowerSchedule::column_totals_excluding_into(std::size_t n,
         "PowerSchedule::column_totals_excluding_into: wrong length");
   }
   // Same fold as column_totals(): accumulate row-major so the summation
-  // order (and hence the floating-point result) matches bit-for-bit.
+  // order (and hence the floating-point result) matches bit-for-bit.  The
+  // inner loop is unrolled 4-way by hand (the same adds in the same order):
+  // rolled, its few uops ran at a speed that depended on where the loop
+  // happened to land relative to a 64-byte fetch boundary, so unrelated
+  // edits to the binary moved every exact-engine apply.
   for (std::size_t c = 0; c < sections_; ++c) out[c] = 0.0;
+  double* const totals = out.data();
   for (std::size_t m = 0; m < players_; ++m) {
     const double* row_ptr = data_.data() + m * sections_;
-    for (std::size_t c = 0; c < sections_; ++c) out[c] += row_ptr[c];
+    std::size_t c = 0;
+    for (; c + 4 <= sections_; c += 4) {
+      totals[c] += row_ptr[c];
+      totals[c + 1] += row_ptr[c + 1];
+      totals[c + 2] += row_ptr[c + 2];
+      totals[c + 3] += row_ptr[c + 3];
+    }
+    for (; c < sections_; ++c) totals[c] += row_ptr[c];
   }
   const auto own = row(n);
   for (std::size_t c = 0; c < sections_; ++c) out[c] -= own[c];

@@ -145,7 +145,14 @@ void SortedLoads::reassign(std::span<const double> others_load) {
   size_ = others_load.size();
   std::copy(others_load.begin(), others_load.end(), values_.begin());
   std::copy(others_load.begin(), others_load.end(), sorted_.begin());
-  std::sort(sorted_.begin(), sorted_.begin() + static_cast<std::ptrdiff_t>(size_));
+  // Every sort of one multiset leaves the same bits, so an ascending b (a
+  // uniform schedule's, for one) keeps its order; the O(C) check stops at
+  // the first descent otherwise.
+  const auto sorted_end =
+      sorted_.begin() + static_cast<std::ptrdiff_t>(size_);
+  if (!std::is_sorted(sorted_.begin(), sorted_end)) {
+    std::sort(sorted_.begin(), sorted_end);
+  }
   prefix_[0] = 0.0;
   for (std::size_t k = 1; k <= size_; ++k) {
     prefix_[k] = prefix_[k - 1] + sorted_[k - 1];

@@ -82,6 +82,7 @@ class SortedLoads {
   void reserve(std::size_t cap);
   /// Re-seeds from a fresh b within previously reserved storage.  Hot: never
   /// allocates; fails (cold throw) if b exceeds the reserved capacity.
+  /// O(C log C), O(C) when b is already ascending.
   void reassign(std::span<const double> others_load);
 
   std::size_t size() const { return size_; }

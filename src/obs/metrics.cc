@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace olev::obs {
 
@@ -54,6 +55,18 @@ void Histogram::observe(double v) {
   Stripe& stripe = stripes_[thread_stripe() % kStripes];
   stripe.counts[bucket].value.fetch_add(1, std::memory_order_relaxed);
   detail::atomic_add(stripe.sum.value, v);
+}
+
+void Histogram::merge(std::span<const std::uint64_t> counts, double sum) {
+  if (counts.size() != bounds_.size() + 1) {
+    throw std::invalid_argument("Histogram::merge: " + name_ +
+                                " bucket count mismatch");
+  }
+  Stripe& stripe = stripes_[thread_stripe() % kStripes];
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    stripe.counts[i].value.fetch_add(counts[i], std::memory_order_relaxed);
+  }
+  detail::atomic_add(stripe.sum.value, sum);
 }
 
 HistogramSnapshot Histogram::snapshot() const {

@@ -30,6 +30,7 @@
 #include <initializer_list>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -127,6 +128,12 @@ class Histogram {
   const std::vector<double>& bounds() const { return bounds_; }
 
   void observe(double v);
+  /// Adds a caller's own tally in one go: `counts` per bucket (bounds().size()
+  /// + 1 entries, as HistogramSnapshot::counts) and their `sum`.  Leaves the
+  /// snapshot the equivalent observe() calls would (the sum exactly when the
+  /// values are integers); throws std::invalid_argument on a bucket-count
+  /// mismatch.
+  void merge(std::span<const std::uint64_t> counts, double sum);
   HistogramSnapshot snapshot() const;
   void reset();
 

@@ -24,6 +24,8 @@
 // metric and span name.
 #pragma once
 
+#include <optional>
+
 #include "obs/metrics.h"
 #include "obs/span.h"
 
@@ -56,10 +58,11 @@
   ::olev::obs::ScopedSpan var { (name), (category), (label) }
 // Fine spans only record when the tracer was started at kFine detail --
 // they sit in per-update code whose event volume would swamp a phase trace.
-#define OLEV_OBS_FINE_SPAN(var, name, category) \
-  ::olev::obs::ScopedSpan var {                 \
-    (name), (category), ::olev::obs::TraceDetail::kFine \
-  }
+// `live` is Tracer::instance().fine_enabled(), read once before the loop,
+// so an iteration with fine tracing off costs one branch and no call.
+#define OLEV_OBS_FINE_SPAN(var, live, name, category) \
+  std::optional<::olev::obs::ScopedSpan> var;         \
+  if (live) var.emplace((name), (category), ::olev::obs::TraceDetail::kFine)
 #define OLEV_OBS_SPAN_ARG(var, key, value) (var).arg((key), (value))
 
 // Statement(s) compiled only when observability is on (timestamp capture,
@@ -79,7 +82,7 @@
   [[maybe_unused]] ::olev::obs::NullSpan var {}
 #define OLEV_OBS_SPAN_LABELED(var, name, category, label) \
   [[maybe_unused]] ::olev::obs::NullSpan var {}
-#define OLEV_OBS_FINE_SPAN(var, name, category) \
+#define OLEV_OBS_FINE_SPAN(var, live, name, category) \
   [[maybe_unused]] ::olev::obs::NullSpan var {}
 #define OLEV_OBS_SPAN_ARG(var, key, value) static_cast<void>(0)
 

@@ -3,14 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/best_response.h"
 #include "core/central.h"
 #include "core/payment.h"
 #include "core/welfare.h"
+#include "obs/obs.h"
 
 namespace olev::core {
 namespace {
@@ -274,6 +277,139 @@ TEST(Game, CurrentMetricsAccessors) {
   (void)game.run();
   EXPECT_GT(game.current_welfare(), 0.0);
   EXPECT_GT(game.current_congestion().mean, 0.0);
+}
+
+TEST(Game, WelfareOnDemandMatchesTheFinalFold) {
+  // Trajectory entries and current_welfare() evaluate U_n and Z_c over the
+  // cached totals; finalize folds the schedule afresh.  Check a one-cost,
+  // a masked and a per-section corridor.
+  GameConfig config;
+  config.record_trajectory = true;
+  const std::vector<double> weights{12.0, 25.0, 18.0, 30.0};
+  std::vector<Game> games;
+  games.emplace_back(make_players(weights), make_cost(), 4,
+                     olev::util::kw(50.0), config);
+  auto masked = make_players(weights);
+  masked[0].allowed_sections = {true, true, false, false};
+  masked[1].allowed_sections = {false, true, true, true};
+  masked[3].allowed_sections = {false, false, false, true};
+  games.emplace_back(std::move(masked), make_cost(), 4, olev::util::kw(50.0),
+                     config);
+  std::vector<SectionCost> costs;
+  for (double cap : {30.0, 40.0, 55.0, 45.0}) costs.push_back(make_cost(cap));
+  games.emplace_back(make_players(weights), std::move(costs),
+                     std::vector<double>{40.0, 50.0, 60.0, 55.0}, config);
+  for (std::size_t g = 0; g < games.size(); ++g) {
+    const GameResult result = games[g].run();
+    ASSERT_TRUE(result.converged) << "game " << g;
+    ASSERT_FALSE(result.trajectory.empty());
+    ASSERT_GT(result.welfare, 0.0);
+    const double tolerance = 1e-12 * result.welfare;
+    EXPECT_NEAR(result.trajectory.back().welfare, result.welfare, tolerance)
+        << "game " << g;
+    EXPECT_NEAR(games[g].current_welfare(), result.welfare, tolerance)
+        << "game " << g;
+  }
+}
+
+#if OLEV_OBS_ENABLED
+TEST(GameTelemetry, RunAddsItsBestResponseTallyToTheRegistryOnce) {
+  const auto solves = [] {
+    return obs::Registry::instance().snapshot().counter_value(
+        "core.best_response.solves");
+  };
+  const auto iterations = [] {
+    const obs::MetricsSnapshot snapshot = obs::Registry::instance().snapshot();
+    const obs::HistogramSnapshot* histogram =
+        snapshot.histogram("core.best_response.iterations");
+    return histogram == nullptr ? obs::HistogramSnapshot{} : *histogram;
+  };
+
+  // One player: its b is zero on every update, so every update repeats the
+  // solve a lone best_response() call makes.
+  const std::size_t sections = 3;
+  Game lone(make_players({10.0}), make_cost(), sections, olev::util::kw(50.0));
+  std::uint64_t solves_before = solves();
+  obs::HistogramSnapshot iterations_before = iterations();
+  const GameResult lone_result = lone.run();
+  ASSERT_TRUE(lone_result.converged);
+  EXPECT_EQ(solves() - solves_before, lone_result.updates);
+  const LogSatisfaction u(10.0);
+  const std::vector<double> zeros(sections, 0.0);
+  const Kilowatts p_max = olev::util::kw(200.0);
+  const BestResponse reference = best_response(u, make_cost(), zeros, p_max);
+  ASSERT_GT(reference.iterations, 0);
+  const obs::HistogramSnapshot lone_iterations = iterations();
+  EXPECT_EQ(lone_iterations.count - iterations_before.count,
+            lone_result.updates + 1);
+  EXPECT_EQ(lone_iterations.sum - iterations_before.sum,
+            static_cast<double>(reference.iterations) *
+                static_cast<double>(lone_result.updates + 1));
+  // The best_response() call above added one solve of its own.
+  EXPECT_EQ(solves() - solves_before, lone_result.updates + 1);
+
+  // The solver core records nothing itself.
+  solves_before = solves();
+  SortedLoads loads(std::vector<double>(sections, 1.0));
+  std::vector<double> row(sections);
+  (void)best_response_into(u, make_cost(), loads, p_max, row);
+  EXPECT_EQ(solves(), solves_before);
+
+  // A masked player with no admissible section never solves; everyone else
+  // solves on every update.
+  auto players = make_players({10.0, 20.0, 15.0});
+  players[1].allowed_sections = {false, false, false};
+  players[1].p_max = olev::util::kw(0.0);
+  players[2].allowed_sections = {true, false, true};
+  GameConfig config;
+  config.record_trajectory = true;
+  Game masked(std::move(players), make_cost(), sections, olev::util::kw(50.0),
+              config);
+  solves_before = solves();
+  iterations_before = iterations();
+  const GameResult result = masked.run();
+  ASSERT_TRUE(result.converged);
+  std::uint64_t solving_updates = 0;
+  for (const UpdateMetrics& entry : result.trajectory) {
+    if (entry.player != 1) ++solving_updates;
+  }
+  EXPECT_EQ(solves() - solves_before, solving_updates);
+  EXPECT_EQ(iterations().count - iterations_before.count, solving_updates);
+}
+#endif
+
+TEST(GameTelemetry, FineTraceRecordsOneUpdateSpanPerUpdate) {
+  obs::Tracer& tracer = obs::Tracer::instance();
+  const auto update_events = [&] {
+    const std::string json = tracer.to_json();
+    const std::string needle = "\"name\":\"game.update\"";
+    std::size_t count = 0;
+    for (std::size_t at = json.find(needle); at != std::string::npos;
+         at = json.find(needle, at + needle.size())) {
+      ++count;
+    }
+    return count;
+  };
+  const auto run_traced = [&](obs::TraceDetail detail) {
+    Game game(make_players({10.0, 20.0, 15.0}), make_cost(), 3,
+              olev::util::kw(50.0));
+    tracer.start(detail);
+    const GameResult result = game.run();
+    tracer.stop();
+    EXPECT_TRUE(result.converged);
+    return result.updates;
+  };
+
+  (void)run_traced(obs::TraceDetail::kPhase);
+  EXPECT_EQ(update_events(), 0u);
+  const std::size_t updates = run_traced(obs::TraceDetail::kFine);
+  // One begin and one end event per update.
+#if OLEV_OBS_ENABLED
+  EXPECT_EQ(update_events(), 2 * updates);
+#else
+  EXPECT_GT(updates, 0u);
+  EXPECT_EQ(update_events(), 0u);
+#endif
 }
 
 TEST(CacheCounters, RatiosAreZeroWhenEmptyAndBoundedOtherwise) {

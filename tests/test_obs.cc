@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -17,6 +18,7 @@
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -128,6 +130,32 @@ TEST(Histogram, ConcurrentObserversAggregateExactly) {
   EXPECT_EQ(snap.counts[0], static_cast<std::uint64_t>(4 * kPerThread));
   EXPECT_EQ(snap.counts[1], static_cast<std::uint64_t>(4 * kPerThread));
   EXPECT_DOUBLE_EQ(snap.sum, 4.0 * kPerThread);
+}
+
+TEST(Histogram, MergeLeavesTheSnapshotOfTheEquivalentObserves) {
+  const std::vector<double> values{0.0, 3.0, 4.0, 9.0, 48.0, 60.0, 4.0, 17.0};
+  Histogram& observed =
+      Registry::instance().histogram("test.obs.observed", {0, 4, 8, 16, 48});
+  Histogram& merged =
+      Registry::instance().histogram("test.obs.merged", {0, 4, 8, 16, 48});
+  std::vector<std::uint64_t> counts(merged.bounds().size() + 1, 0);
+  double sum = 0.0;
+  for (double v : values) {
+    observed.observe(v);
+    const auto bucket = std::ranges::lower_bound(merged.bounds(), v);
+    ++counts[static_cast<std::size_t>(bucket - merged.bounds().begin())];
+    sum += v;
+  }
+  merged.merge(counts, sum);
+  const HistogramSnapshot a = observed.snapshot();
+  const HistogramSnapshot b = merged.snapshot();
+  EXPECT_EQ(a.counts, b.counts);
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.sum),
+            std::bit_cast<std::uint64_t>(b.sum));
+
+  const std::vector<std::uint64_t> short_counts(2, 1);
+  EXPECT_THROW(merged.merge(short_counts, 1.0), std::invalid_argument);
 }
 
 TEST(Registry, SameNameReturnsSameMetric) {
@@ -394,6 +422,7 @@ TEST(Macros, CompileAndCount) {
     OLEV_OBS_OBSERVE(histogram, 1.5);
     OLEV_OBS_SPAN(span, "macro-span", "test");
     OLEV_OBS_SPAN_ARG(span, "i", static_cast<double>(i));
+    OLEV_OBS_FINE_SPAN(fine_span, i == 0, "macro-fine-span", "test");
     OLEV_OBS_ONLY(const double only_value = 1.0; (void)only_value;)
   }
 #if OLEV_OBS_ENABLED

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -212,6 +216,53 @@ TEST(WaterFill, LevelExactlyAtNextLoadBoundary) {
 TEST(SortedLoads, HandlesSingleSectionAndRepeatedUpdates) {
   SortedLoads sorted(std::vector<double>{5.0});
   EXPECT_DOUBLE_EQ(sorted.level_for(olev::util::kw(2.0)), 7.0);
+}
+
+TEST(SortedLoads, AscendingAndShuffledLoadsGiveTheSameBits) {
+  // reassign skips the sort when b is already ascending; every order of one
+  // multiset must still give the same sorted loads, prefix sums and fill.
+  olev::util::Rng rng(0x50f7);
+  const std::vector<std::vector<double>> multisets{
+      std::vector<double>(12, 3.7),  // a uniform schedule's b
+      {0.0, 0.0, 0.1, 0.1, 0.1, 2.5, 2.5, 7.25, 9.0},
+      {0.3, 1.0 / 3.0, 0.7, 1.1, 1.1, 4.0, 13.0, 13.0, 100.0, 1e-9}};
+  SortedLoads ascending;
+  SortedLoads shuffled;
+  for (std::vector<double> b : multisets) {
+    std::sort(b.begin(), b.end());
+    std::vector<std::size_t> order(b.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    rng.shuffle(std::span<std::size_t>(order));
+    std::vector<double> permuted(b.size());
+    for (std::size_t i = 0; i < b.size(); ++i) permuted[i] = b[order[i]];
+
+    ascending.reserve(b.size());
+    shuffled.reserve(b.size());
+    ascending.reassign(b);
+    shuffled.reassign(permuted);
+    for (std::size_t k = 0; k < b.size(); ++k) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(ascending.sorted()[k]),
+                std::bit_cast<std::uint64_t>(shuffled.sorted()[k]));
+    }
+    for (std::size_t k = 0; k <= b.size(); ++k) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(ascending.prefix()[k]),
+                std::bit_cast<std::uint64_t>(shuffled.prefix()[k]));
+    }
+    for (double total : {0.0, 0.05, 1.0, 17.5, 400.0}) {
+      std::vector<double> row(b.size());
+      std::vector<double> permuted_row(b.size());
+      const double level = ascending.fill_into(olev::util::kw(total), row);
+      const double permuted_level =
+          shuffled.fill_into(olev::util::kw(total), permuted_row);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(level),
+                std::bit_cast<std::uint64_t>(permuted_level));
+      for (std::size_t i = 0; i < b.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(permuted_row[i]),
+                  std::bit_cast<std::uint64_t>(row[order[i]]))
+            << "total " << total << " section " << i;
+      }
+    }
+  }
 }
 
 }  // namespace

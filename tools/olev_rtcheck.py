@@ -273,15 +273,35 @@ def demangle_all(names: list[str]) -> dict[str, str]:
 # Call-graph analysis
 # --------------------------------------------------------------------------
 
-def name_matches(demangled: str, pattern: str) -> bool:
-    """OLEV_HOT_ROOT / OLEV_RT_VCALL_OK matching: the exact name, any
-    overload, any template instantiation, and compiler clones thereof."""
-    if demangled == pattern:
+def _names_at_start(name: str, pattern: str) -> bool:
+    if name == pattern:
         return True
     for opener in ("(", "<"):
-        if demangled.startswith(pattern + opener):
+        if name.startswith(pattern + opener):
             return True
-    return bool(re.match(re.escape(pattern) + r".* \[clone ", demangled))
+    return bool(re.match(re.escape(pattern) + r".* \[clone ", name))
+
+
+def name_matches(demangled: str, pattern: str) -> bool:
+    """OLEV_HOT_ROOT / OLEV_RT_VCALL_OK matching: the exact name, any
+    overload, any template instantiation, and compiler clones thereof.  A
+    function template's instantiation demangles with its return type first
+    (`double ns::f<double>(double)`), so the name may also begin after any
+    space outside brackets."""
+    if _names_at_start(demangled, pattern):
+        return True
+    if pattern not in demangled:
+        return False
+    depth = 0
+    for index, char in enumerate(demangled):
+        if char in "<(":
+            depth += 1
+        elif char in ">)":
+            depth -= 1
+        elif (char == " " and depth == 0
+              and _names_at_start(demangled[index + 1:], pattern)):
+            return True
+    return False
 
 
 @dataclass
@@ -615,6 +635,15 @@ OLEV_HOT __attribute__((noinline)) double st_stop(double x) {
   return x * 3.0;
 }
 void st_stop_driver() { sink = st_stop(1.0); }
+"""),
+    ("a function-template root matches past its return type", None,
+     SELF_TEST_COMMON + """
+OLEV_HOT_ROOT("st_template::scaled");
+namespace st_template {
+template <class T>
+OLEV_HOT __attribute__((noinline)) T scaled(T x) { return x * T(3); }
+}  // namespace st_template
+void st_template_driver() { sink = st_template::scaled<double>(1.0); }
 """),
     ("a root matching no function is a manifest problem", "problem",
      SELF_TEST_COMMON + """

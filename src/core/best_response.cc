@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/payment.h"
@@ -20,8 +21,8 @@ OLEV_RT_VCALL_OK("olev::core::best_response_into",
                  "Satisfaction/SectionCost dispatch; every override is a "
                  "registered hot root");
 OLEV_RT_VCALL_OK("olev::core::(anonymous namespace)::SegmentSolver",
-                 "Satisfaction dispatch; every override is a registered hot "
-                 "root");
+                 "Satisfaction::derivative and ::affine_crossing dispatch; "
+                 "every override is a registered hot root");
 
 #if OLEV_OBS_ENABLED
 namespace {
@@ -30,7 +31,8 @@ namespace {
 // lock (a function-local static would put both on it).
 obs::Counter& g_obs_solves =
     obs::Registry::instance().counter("core.best_response.solves");
-// Corner solutions report 0 iterations; interior ones their F' evaluations.
+// Corner solutions report 0 iterations; interior ones their F' evaluations,
+// the closing crossing included.
 obs::Histogram& g_obs_iterations = obs::Registry::instance().histogram(
     "core.best_response.iterations",
     std::vector<double>(kIterationBounds.begin(), kIterationBounds.end()));
@@ -39,28 +41,19 @@ obs::Histogram& g_obs_iterations = obs::Registry::instance().histogram(
 
 namespace {
 
-// The interior solve stops once |1 - Psi'(p) / U'(p)| <= kTolerance
-// and the last secant step moved p by at most kTolerance * max(1, p), or
-// after kMaxEvaluations F' evaluations.
-constexpr double kTolerance = 1e-9;
-constexpr int kMaxEvaluations = 200;
-
-// One end of the root bracket: a total p, F'(p) = U'(p) - Psi'(p) and the
-// ratio form g(p) = 1 - Psi'(p) / U'(p).  g has F''s sign only where
-// U'(p) > 0 (`ratio`); past a satiation point U' <= 0, and there F' < 0
-// since Psi' >= 0.
+// One end of the root bracket: a total p, the curve's price Psi'(p) there
+// and F'(p) = U'(p) - Psi'(p).
 struct BracketEnd {
   double p = 0.0;
+  double price = 0.0;
   double f = 0.0;
-  double g = 0.0;
-  bool ratio = false;
 };
 
 // Psi'(p) = Z'(lambda*(p)) on the paper's corridor, answering the queries
 // PriceCurve answers for one cost per section.  Breakpoint k is
 // q_k = k * s_k - S_k, where the level reaches s_k; on piece k (between
-// q_{k-1} and q_k, k sections loaded) the level is (p + S_k) / k --
-// level_for's own arithmetic.
+// q_{k-1} and q_k, k sections loaded) the level is (p + S_k) / k, so Psi'
+// is affine there on each side of the hinge.
 struct LevelCurve {
   const SectionCost& z;
   const SortedLoads& loads;
@@ -70,9 +63,6 @@ struct LevelCurve {
     return static_cast<double>(k) * loads.sorted()[k] - loads.prefix()[k];
   }
   double price(std::size_t k) const { return z.derivative(loads.sorted()[k]); }
-  double price_on(std::size_t k, double p) const {
-    return z.derivative((p + loads.prefix()[k]) / static_cast<double>(k));
-  }
   // Z' has one kink of its own, where the overload cost A switches on at the
   // safety cap (Eq. 7): on piece k, at the total whose level is the cap.
   // PriceCurve has no such hinge; its cap prices are breakpoints already.
@@ -89,16 +79,15 @@ struct LevelCurve {
 };
 
 // Lemma IV.3 on either curve (LevelCurve or PriceCurve): the corner tests,
-// the segment search, the hinge split and the Illinois secant.
+// the segment search, the hinge split and the crossing of U' with the
+// piece's affine price.
 template <class Curve>
 struct SegmentSolver {
   const Satisfaction& u;
   const Curve& curve;
 
   BracketEnd end_at(double p, double price) const {
-    const double u_prime = u.derivative(p);
-    return {p, u_prime - price, u_prime > 0.0 ? 1.0 - price / u_prime : 0.0,
-            u_prime > 0.0};
+    return {p, price, u.derivative(p) - price};
   }
 
   // The interior root of F' given F'(lo.p = 0) > 0 > F'(cap.p = p_max).
@@ -137,8 +126,7 @@ struct SegmentSolver {
       }
     }
 
-    // Splitting the piece at a hinge leaves the secant one smooth piece, so
-    // it never has to creep across the kink.
+    // Splitting the piece at a hinge leaves one affine piece of Psi'.
     if constexpr (requires { curve.hinge(hi_k); }) {
       const double hinge = curve.hinge(hi_k);
       if (hinge > lo.p && hinge < hi.p) {
@@ -152,43 +140,13 @@ struct SegmentSolver {
       }
     }
 
-    // Illinois: regula falsi, halving the weight of an end kept twice in a
-    // row so neither end stalls.  It interpolates g, or F' itself while hi
-    // lies past a satiation point.  Converged once |g| <= kTolerance and the
-    // secant through the last two trial points moves p by at most
-    // kTolerance * max(1, p); p* is that secant step's landing point.
-    double lo_weight = 1.0;
-    double hi_weight = 1.0;
-    enum class Moved { kNone, kLo, kHi } moved = Moved::kNone;
-    BracketEnd last;
-    while (evaluations < kMaxEvaluations) {
-      const double y_lo = lo_weight * (hi.ratio ? lo.g : lo.f);
-      const double y_hi = hi_weight * (hi.ratio ? hi.g : hi.f);
-      const double p = hi.p - y_hi * (hi.p - lo.p) / (y_hi - y_lo);
-      if (!(p > lo.p && p < hi.p)) break;  // no double left inside the bracket
-      ++evaluations;
-      const BracketEnd at = end_at(p, curve.price_on(hi_k, p));
-      if (at.f == 0.0) return p;
-      if (at.ratio && last.ratio && std::abs(at.g) <= kTolerance) {
-        const double step = at.g * (at.p - last.p) / (at.g - last.g);
-        if (std::abs(step) <= kTolerance * std::max(1.0, p)) {
-          return std::clamp(p - step, lo.p, hi.p);
-        }
-      }
-      last = at;
-      if (at.f > 0.0) {
-        lo = at;
-        lo_weight = 1.0;
-        if (moved == Moved::kLo) hi_weight *= 0.5;
-        moved = Moved::kLo;
-      } else {
-        hi = at;
-        hi_weight = 1.0;
-        if (moved == Moved::kHi) lo_weight *= 0.5;
-        moved = Moved::kHi;
-      }
-    }
-    return -hi.f < lo.f ? hi.p : lo.p;
+    // Psi' is the line through the two ends now, so the root is where U'
+    // meets it, counted as one more evaluation.  A flat piece can read a
+    // slope one rounding below 0.
+    ++evaluations;
+    const double slope =
+        std::max(0.0, (hi.price - lo.price) / (hi.p - lo.p));
+    return u.affine_crossing(lo.price - slope * lo.p, slope, lo.p, hi.p);
   }
 
   BestResponseScalars solve(Kilowatts p_max_kw, std::span<double> row) const {
@@ -211,6 +169,17 @@ struct SegmentSolver {
       } else {
         result.p_star = interior_root(zero, cap, result.iterations);
         result.kind = BestResponse::Case::kInterior;
+#if OLEV_AUDIT_ENABLED
+        // Lemma IV.3's first-order condition, against the curve's own
+        // price at p* rather than the line the crossing used.
+        const double u_prime = u.derivative(result.p_star);
+        const double residual =
+            u_prime - curve.price_for(Kilowatts{result.p_star});
+        OLEV_AUDIT_CHECK(
+            std::abs(residual) <= 1e-9 * std::max(1.0, std::abs(u_prime)),
+            "best_response: F'(p*) = " + std::to_string(residual) +
+                " at interior p* = " + std::to_string(result.p_star));
+#endif
       }
     }
     result.level = curve.fill_into(Kilowatts{result.p_star}, row,

@@ -16,12 +16,11 @@
 // price rho*(p), linear between the breakpoints of PriceCurve
 // (core/water_filling.h).  One solver walks either curve: it binary-searches
 // the breakpoints for the segment holding F''s sign change (at a breakpoint
-// the price is known, no fill to find), splits a one-cost segment at the
-// overload hinge, then runs a safeguarded Illinois secant on the ratio form
-// 1 - Psi'(p) / U'(p).  That form has F''s sign wherever U' > 0 and, for the
-// paper's log U and quadratic V, is a quadratic in p; while the bracket
-// reaches past a satiation point (U' <= 0) it interpolates F' itself.  The
-// row is then filled at p* on the same curve.
+// the price is known, no fill to find) and splits a one-cost segment at the
+// overload hinge.  Psi' is then the line through the two bracket ends, and
+// p* is where U' meets it: Satisfaction::affine_crossing, a closed form for
+// the log and quadratic families (for the paper's log U, a quadratic in p).
+// The row is then filled at p* on the same curve.
 #pragma once
 
 #include <algorithm>
@@ -40,8 +39,10 @@ struct BestResponse {
   WaterFillResult allocation;   ///< water-filled row at p_star
   double payment = 0.0;         ///< Psi_n(p_star)
   double utility = 0.0;         ///< F_n(p_star) = U_n - Psi_n
-  /// F' evaluations of an interior solve (breakpoint tests plus secant
-  /// steps); 0 for a corner.
+  /// F' evaluations of an interior solve: the segment search's breakpoint
+  /// tests, the hinge split and one for the closing crossing, so
+  /// 1..ceil(log2 K) + 2 over K breakpoints; 0 for a corner (the corner
+  /// tests are not counted).
   int iterations = 0;
   enum class Case { kCornerZero, kCornerCap, kInterior } kind = Case::kInterior;
 };
@@ -88,8 +89,8 @@ struct BestResponseScalars {
     std::span<double> row);
 
 /// Bucket bounds of the `core.best_response.iterations` histogram.
-inline constexpr std::array<double, 8> kIterationBounds = {0,  4,  8,  12,
-                                                           16, 24, 32, 48};
+inline constexpr std::array<double, 8> kIterationBounds = {0, 1, 2, 3,
+                                                           4, 6, 8, 12};
 
 /// Plain (non-atomic) tally of `core.best_response.solves` and the
 /// `core.best_response.iterations` buckets, for a caller that solves in a

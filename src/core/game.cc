@@ -101,15 +101,8 @@ void Game::build() {
     section_costs_.push_back(&costs_[costs_.size() == 1 ? 0 : c]);
     idle_costs_.push_back(section_costs_[c]->value(0.0));
   }
-  rebuild_caches();
-}
-
-void Game::rebuild_caches() {
-  column_totals_ = schedule_.column_totals();
-  row_totals_.resize(players_.size());
-  for (std::size_t n = 0; n < players_.size(); ++n) {
-    row_totals_[n] = schedule_.row_total(n);
-  }
+  // The schedule starts at zero, and so do its totals.
+  row_totals_.assign(players_.size(), 0.0);
   // Hot-path arenas: sized once here so update_player never allocates.
   scratch_others_.assign(sections_, 0.0);
   scratch_row_.assign(sections_, 0.0);
@@ -118,7 +111,6 @@ void Game::rebuild_caches() {
   scratch_subrow_.assign(sections_, 0.0);
   scratch_sorted_.reserve(sections_);
   if (costs_.size() > 1) scratch_curve_.reserve(sections_);
-  caches_ = CacheCounters{};
 }
 
 void Game::others_load_into(std::size_t player, std::span<double> out) const {
@@ -336,9 +328,12 @@ CongestionReport Game::current_congestion() const {
 GameResult Game::run(bool warm_start) {
   OLEV_OBS_SPAN(run_span, "game.run", "solver");
   if (!warm_start) {
-    schedule_ = PowerSchedule(players_.size(), sections_);
+    // Cold start: zero the schedule and its totals in place.
+    for (std::size_t n = 0; n < players_.size(); ++n) schedule_.zero_row(n);
+    std::fill(column_totals_.begin(), column_totals_.end(), 0.0);
+    std::fill(row_totals_.begin(), row_totals_.end(), 0.0);
     cursor_ = 0;
-    rebuild_caches();
+    caches_ = CacheCounters{};
   }
 
   std::vector<UpdateMetrics> trajectory;

@@ -151,7 +151,7 @@ class Game {
 
  private:
   /// Constructor checks shared by both corridors, then the per-section cost
-  /// table and the caches.
+  /// table, the row totals and the arenas.
   void build();
   /// b for `player`: cached column totals minus the player's own row,
   /// written into `out` (length C).  Never allocates.
@@ -167,8 +167,6 @@ class Game {
                             std::span<const double> others);
   double update_greedy(std::size_t player, std::span<const double> others);
   std::size_t pick_player();
-  /// (Re)derives every cached aggregate from the current schedule.
-  void rebuild_caches();
   GameResult finalize(bool converged, std::size_t updates,
                       std::vector<UpdateMetrics> trajectory) const;
 
@@ -183,8 +181,8 @@ class Game {
   // --- incremental hot-path caches (invariants in docs/ALGORITHMS.md) ---
   std::vector<double> column_totals_;  ///< P_c per section (others + row)
   std::vector<double> row_totals_;     ///< p_n per player
-  // --- pre-sized hot-path arenas (rebuild_caches sizes them; update_player
-  // --- and everything below it never allocate) ---
+  // --- pre-sized hot-path arenas (build sizes them; update_player and
+  // --- everything below it never allocate) ---
   std::vector<double> scratch_others_;        ///< b of the updating player
   std::vector<double> scratch_row_;           ///< full-width row being built
   std::vector<double> scratch_subset_;        ///< masked b subvector

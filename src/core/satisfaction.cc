@@ -1,5 +1,6 @@
 #include "core/satisfaction.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -11,19 +12,25 @@ namespace olev::core {
 // Real-time wall manifest: every satisfaction evaluation dispatched from a
 // hot best-response / mean-field aggregate is rooted.  The closed forms
 // below only touch allowed libm leaves (log1p, sqrt); the base-class
-// bisection fallback dispatches back through derivative(), hence the vcall
-// allowance.
+// bisection fallback dispatches back through derivative(), and the base
+// derivative_inverse through affine_crossing, hence the vcall allowances.
 OLEV_HOT_ROOT("olev::core::Satisfaction::derivative_inverse");
+OLEV_HOT_ROOT("olev::core::Satisfaction::affine_crossing");
 OLEV_HOT_ROOT("olev::core::LogSatisfaction::value");
 OLEV_HOT_ROOT("olev::core::LogSatisfaction::derivative");
 OLEV_HOT_ROOT("olev::core::LogSatisfaction::derivative_inverse");
+OLEV_HOT_ROOT("olev::core::LogSatisfaction::affine_crossing");
 OLEV_HOT_ROOT("olev::core::SqrtSatisfaction::value");
 OLEV_HOT_ROOT("olev::core::SqrtSatisfaction::derivative");
 OLEV_HOT_ROOT("olev::core::SqrtSatisfaction::derivative_inverse");
 OLEV_HOT_ROOT("olev::core::QuadraticSatisfaction::value");
 OLEV_HOT_ROOT("olev::core::QuadraticSatisfaction::derivative");
 OLEV_HOT_ROOT("olev::core::QuadraticSatisfaction::derivative_inverse");
+OLEV_HOT_ROOT("olev::core::QuadraticSatisfaction::affine_crossing");
 OLEV_RT_VCALL_OK("olev::core::Satisfaction::derivative_inverse",
+                 "flat-price fallback dispatches affine_crossing(); every "
+                 "override is a registered hot root");
+OLEV_RT_VCALL_OK("olev::core::Satisfaction::affine_crossing",
                  "bisection fallback dispatches derivative(); every override "
                  "is a registered hot root");
 
@@ -32,23 +39,36 @@ double Satisfaction::derivative_inverse(double marginal) const {
     util::hot_fail_invalid_argument(
         "Satisfaction::derivative_inverse: marginal must be positive");
   }
-  if (derivative(0.0) <= marginal) return 0.0;
-  // Bracket growth: U' is strictly decreasing, so the root lies below the
-  // first hi with U'(hi) <= marginal.  If no such hi exists within any
-  // physically meaningful range, the demand is effectively unbounded.
-  double hi = 1.0;
-  while (derivative(hi) > marginal) {
-    hi *= 2.0;
-    if (hi > 1e18) return std::numeric_limits<double>::infinity();
-  }
-  double lo = hi * 0.5 > 1.0 ? hi * 0.5 : 0.0;
-  for (int it = 0; it < 200 && hi - lo > 1e-12 * (1.0 + hi); ++it) {
-    const double mid = 0.5 * (lo + hi);
-    if (derivative(mid) > marginal) {
-      lo = mid;
-    } else {
-      hi = mid;
+  // A flat price over [0, inf): 0 when U'(0) <= marginal, +infinity when U'
+  // stays above it.
+  return affine_crossing(marginal, 0.0, 0.0,
+                         std::numeric_limits<double>::infinity());
+}
+
+double Satisfaction::affine_crossing(double a, double b, double lo,
+                                     double hi) const {
+  // G(p) = U'(p) - (a + b * p) is strictly decreasing: bisect its sign
+  // change until no double is left between the ends.
+  const auto above = [&](double p) { return derivative(p) > a + b * p; };
+  if (!above(lo)) return lo;
+  if (std::isinf(hi)) {
+    // U' is strictly decreasing, so the crossing lies below the first
+    // doubling where U' falls to the line; past 1e18 kW the demand is
+    // effectively unbounded.
+    double top = std::max(1.0, 2.0 * lo);
+    while (above(top)) {
+      lo = top;
+      top *= 2.0;
+      if (top > 1e18) return hi;
     }
+    hi = top;
+  } else if (above(hi)) {
+    return hi;
+  }
+  for (int it = 0; it < 200; ++it) {
+    const double mid = 0.5 * (lo + hi);
+    if (!(mid > lo && mid < hi)) break;
+    (above(mid) ? lo : hi) = mid;
   }
   return 0.5 * (lo + hi);
 }
@@ -76,6 +96,19 @@ double LogSatisfaction::derivative_inverse(double marginal) const {
   // w / (s + p) = m  =>  p = w/m - s, clamped at 0 when U'(0) <= m.
   const double p = weight_ / marginal - scale_;
   return p > 0.0 ? p : 0.0;
+}
+
+double LogSatisfaction::affine_crossing(double a, double b, double lo,
+                                        double hi) const {
+  // w / (s + p) = a + b p  <=>  b p^2 + (a + b s) p + (a s - w) = 0, and the
+  // root with s + p > 0 is the larger one.  Written so that neither sign of
+  // a + b s cancels; b = 0 with a <= 0 never crosses (+infinity, so hi).
+  const double sum = a + b * scale_;
+  const double gap = a - b * scale_;
+  const double root = std::sqrt(gap * gap + 4.0 * b * weight_);
+  const double p = sum >= 0.0 ? 2.0 * (weight_ - a * scale_) / (sum + root)
+                              : (root - sum) / (2.0 * b);
+  return std::clamp(p, lo, hi);
 }
 
 std::unique_ptr<Satisfaction> LogSatisfaction::clone() const {
@@ -132,6 +165,14 @@ double QuadraticSatisfaction::derivative_inverse(double marginal) const {
   // w (1 - p/cap) = m  =>  p = cap (1 - m/w); satiation bounds it by cap.
   const double p = cap_ * (1.0 - marginal / weight_);
   return p > 0.0 ? p : 0.0;
+}
+
+double QuadraticSatisfaction::affine_crossing(double a, double b, double lo,
+                                              double hi) const {
+  // w (1 - p/cap) = a + b p  =>  p = (w - a) / (w/cap + b).  U' is the same
+  // line past satiation, so this holds there too.
+  const double p = (weight_ - a) / (weight_ / cap_ + b);
+  return std::clamp(p, lo, hi);
 }
 
 std::unique_ptr<Satisfaction> QuadraticSatisfaction::clone() const {

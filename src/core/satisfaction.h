@@ -24,9 +24,19 @@ class Satisfaction {
   /// primitive of the mean-field engine (core/mean_field.h).  May return
   /// +infinity when U' stays above `marginal` forever (log/sqrt families as
   /// marginal -> 0); callers clamp to the physical cap.  The base
-  /// implementation bisects on derivative(); concrete families override
-  /// with closed forms.  Requires marginal > 0.
+  /// implementation is affine_crossing(marginal, 0, 0, inf); concrete
+  /// families override with closed forms.  Requires marginal > 0.
   virtual double derivative_inverse(double marginal) const;
+  /// The p in [lo, hi] where U'(p) meets the affine price a + b * p, for
+  /// b >= 0: lo when U'(lo) <= a + b * lo already, hi when U' stays above
+  /// the line up to hi.  U'(p) - a - b * p is strictly decreasing, so the
+  /// crossing is unique.  This is the best response on one piece of a
+  /// piecewise-linear price curve (core/best_response.h); b = 0 over
+  /// [0, inf) is derivative_inverse.  `hi` may be +infinity.  The base
+  /// implementation bisects on derivative(); concrete families override
+  /// with closed forms.  Every result is clamped to [lo, hi].
+  virtual double affine_crossing(double a, double b, double lo,
+                                 double hi) const;
   virtual std::unique_ptr<Satisfaction> clone() const = 0;
 };
 
@@ -37,6 +47,8 @@ class LogSatisfaction final : public Satisfaction {
   double value(double p) const override;
   double derivative(double p) const override;
   double derivative_inverse(double marginal) const override;
+  double affine_crossing(double a, double b, double lo,
+                         double hi) const override;
   std::unique_ptr<Satisfaction> clone() const override;
   double weight() const { return weight_; }
 
@@ -67,6 +79,8 @@ class QuadraticSatisfaction final : public Satisfaction {
   double value(double p) const override;
   double derivative(double p) const override;
   double derivative_inverse(double marginal) const override;
+  double affine_crossing(double a, double b, double lo,
+                         double hi) const override;
   std::unique_ptr<Satisfaction> clone() const override;
 
  private:

@@ -161,12 +161,6 @@ class PriceCurve {
   std::size_t size() const { return size_; }
   double price(std::size_t j) const { return kinks_[j].price; }
   double total(std::size_t j) const { return kinks_[j].total; }
-  /// rho* at `total` on piece j (1 <= j <= size()), the linear piece of D
-  /// that starts at breakpoint j - 1.
-  double price_on(std::size_t j, double total) const {
-    const Kink& from = kinks_[j - 1];
-    return from.price + (total - from.total) / from.slope;
-  }
 
   /// rho* for the given total, exact on its linear piece of D.
   [[nodiscard]] OLEV_HOT double price_for(Kilowatts total) const;
@@ -181,6 +175,12 @@ class PriceCurve {
     double total;
     double slope;  ///< dD/drho above the kink
   };
+  /// rho* at `total` on piece j (1 <= j <= size()), the linear piece of D
+  /// that starts at breakpoint j - 1.
+  double price_on(std::size_t j, double total) const {
+    const Kink& from = kinks_[j - 1];
+    return from.price + (total - from.total) / from.slope;
+  }
   std::span<const SectionCost* const> costs_;
   std::vector<double> others_;  ///< b; capacity is others_.size()
   std::vector<Kink> kinks_;     ///< two per section of capacity

@@ -12,7 +12,7 @@
 //   OLEV_OBS_ADD(runs, 1);
 //
 //   OLEV_OBS_HISTOGRAM(iters, "core.best_response.iterations",
-//                      {0, 4, 8, 12, 16, 24, 32, 48});
+//                      {0, 1, 2, 3, 4, 6, 8, 12});
 //   OLEV_OBS_OBSERVE(iters, response.iterations);
 //
 //   OLEV_OBS_SPAN(span, "game.run", "solver");

@@ -44,11 +44,12 @@ double reference_p_star(const Satisfaction& u, const SectionCost& z,
       p_max);
 }
 
-/// F' evaluations an interior solve may take: a binary search over the C
-/// breakpoints plus a short secant.  Bisection to 1e-9 takes 33-40.
-int evaluation_bound(std::size_t sections) {
-  const double log2_c = std::ceil(std::log2(static_cast<double>(sections)));
-  return 2 * static_cast<int>(log2_c) + 20;
+/// F' evaluations an interior solve may take over K breakpoints: the
+/// segment search, the hinge split and one crossing.  Bisection to 1e-9
+/// takes 33-40.
+int evaluation_bound(std::size_t breakpoints) {
+  const double log2_k = std::ceil(std::log2(static_cast<double>(breakpoints)));
+  return static_cast<int>(log2_k) + 2;
 }
 
 /// p* agrees with the reference, and an interior solve stays within the

@@ -4,7 +4,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -196,6 +198,54 @@ TEST(Game, WarmStartKeepsSchedule) {
   EXPECT_TRUE(second.converged);
   EXPECT_LE(second.updates, 2u);
   EXPECT_NEAR(second.welfare, first.welfare, 1e-9);
+}
+
+TEST(Game, ColdRestartMatchesAFreshGameBitForBit) {
+  // run() without a warm start zeroes the schedule and its totals in place.
+  // A game run once, nudged off its fixed point and run cold again must
+  // reproduce a fresh game's run bit for bit: one-cost, masked and
+  // per-section corridors.
+  const auto corridors = [] {
+    const std::vector<double> weights{12.0, 25.0, 18.0, 30.0};
+    std::vector<Game> games;
+    games.emplace_back(make_players(weights), make_cost(), 4,
+                       olev::util::kw(50.0));
+    auto masked = make_players(weights);
+    masked[0].allowed_sections = {true, true, false, false};
+    masked[3].allowed_sections = {false, false, false, true};
+    games.emplace_back(std::move(masked), make_cost(), 4,
+                       olev::util::kw(50.0));
+    std::vector<SectionCost> costs;
+    for (double cap : {30.0, 40.0, 55.0, 45.0}) costs.push_back(make_cost(cap));
+    games.emplace_back(make_players(weights), std::move(costs),
+                       std::vector<double>{40.0, 50.0, 60.0, 55.0});
+    return games;
+  };
+  std::vector<Game> fresh = corridors();
+  std::vector<Game> reused = corridors();
+  const auto same_bits = [](std::span<const double> a,
+                            std::span<const double> b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  for (std::size_t g = 0; g < fresh.size(); ++g) {
+    const GameResult expected = fresh[g].run();
+    ASSERT_TRUE(reused[g].run().converged) << "game " << g;
+    (void)reused[g].update_player(1);
+    const GameResult again = reused[g].run();
+    EXPECT_EQ(again.updates, expected.updates) << "game " << g;
+    EXPECT_TRUE(same_bits(again.schedule.flat(), expected.schedule.flat()))
+        << "game " << g;
+    EXPECT_TRUE(same_bits(again.payments, expected.payments)) << "game " << g;
+    EXPECT_TRUE(same_bits({&again.welfare, 1}, {&expected.welfare, 1}))
+        << "game " << g;
+    EXPECT_EQ(again.caches.section_cost_reuses,
+              expected.caches.section_cost_reuses)
+        << "game " << g;
+    EXPECT_EQ(again.caches.section_cost_refreshes,
+              expected.caches.section_cost_refreshes)
+        << "game " << g;
+  }
 }
 
 TEST(Game, UpdatePlayerOutOfRangeThrows) {

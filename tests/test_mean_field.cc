@@ -2,7 +2,8 @@
 // construction contracts, fixed-point self-consistency, representative-player
 // KKT conditions, payment sign, welfare monotonicity of the field iteration,
 // background water-filling, the closed-form
-// (U')^{-1} implementations, determinism, and schedule materialization.
+// (U')^{-1} and affine-crossing implementations, determinism, and schedule
+// materialization.
 // The *accuracy* of the approximation against the exact game lives in
 // test_meanfield_vs_exact.cc.
 
@@ -11,12 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
 
 #include "core/scenario.h"
+#include "util/rng.h"
 
 namespace olev::core {
 namespace {
@@ -331,6 +334,62 @@ TEST(Satisfaction, DerivativeInverseClosedFormsMatchBisection) {
     }
     EXPECT_THROW((void)u->derivative_inverse(0.0), std::invalid_argument);
     EXPECT_THROW((void)u->derivative_inverse(-1.0), std::invalid_argument);
+  }
+}
+
+// affine_crossing is the best response on one affine piece of a price curve
+// (core/best_response.h).  The closed forms must land where the base class's
+// bisection does: on lines drawn through a known crossing (a quadratic's up
+// to twice past its satiation point, where U' < 0) and on random lines,
+// which often clamp to a bracket end.  A flat line over [0, inf) is
+// (U')^{-1}.
+TEST(Satisfaction, AffineCrossingClosedFormsMatchBaseBisection) {
+  std::vector<std::unique_ptr<Satisfaction>> subjects;
+  subjects.push_back(std::make_unique<LogSatisfaction>());
+  subjects.push_back(std::make_unique<LogSatisfaction>(12.0, 2.0));
+  subjects.push_back(std::make_unique<QuadraticSatisfaction>(3.0, 80.0));
+  const double infinity = std::numeric_limits<double>::infinity();
+  util::Rng rng(0xaff1);
+  for (const auto& u : subjects) {
+    const BisectionOnly generic(u->clone());
+    for (int trial = 0; trial < 500; ++trial) {
+      const double b = trial % 5 == 0 ? 0.0 : rng.uniform(0.0, 2.0);
+
+      const double crossing = rng.uniform(0.0, 160.0);
+      const double a = u->derivative(crossing) - b * crossing;
+      double lo = rng.uniform(0.0, crossing);
+      double hi = crossing + rng.uniform(0.0, 100.0);
+      const double closed = u->affine_crossing(a, b, lo, hi);
+      EXPECT_NEAR(closed, crossing, 1e-12 * (1.0 + crossing))
+          << "trial " << trial << " a " << a << " b " << b;
+      EXPECT_NEAR(closed, generic.affine_crossing(a, b, lo, hi),
+                  1e-12 * (1.0 + crossing))
+          << "trial " << trial << " a " << a << " b " << b;
+
+      const double random_a = rng.uniform(-2.0, 6.0);
+      lo = rng.uniform(0.0, 100.0);
+      hi = lo + rng.uniform(0.0, 100.0);
+      const double clamped = u->affine_crossing(random_a, b, lo, hi);
+      const double bisected = generic.affine_crossing(random_a, b, lo, hi);
+      EXPECT_NEAR(clamped, bisected, 1e-12 * (1.0 + bisected))
+          << "trial " << trial << " a " << random_a << " b " << b;
+      EXPECT_GE(clamped, lo);
+      EXPECT_LE(clamped, hi);
+      if (clamped == lo) {
+        EXPECT_LE(u->derivative(lo), random_a + b * lo + 1e-12);
+      } else if (clamped == hi) {
+        EXPECT_GE(u->derivative(hi), random_a + b * hi - 1e-12);
+      }
+    }
+    for (double marginal : {1e-3, 0.01, 0.1, 0.5, 1.0, 3.0, 50.0}) {
+      const double inverse = u->derivative_inverse(marginal);
+      EXPECT_NEAR(u->affine_crossing(marginal, 0.0, 0.0, infinity), inverse,
+                  1e-12 * (1.0 + inverse))
+          << "marginal " << marginal;
+      EXPECT_NEAR(generic.affine_crossing(marginal, 0.0, 0.0, infinity),
+                  generic.derivative_inverse(marginal), 1e-9 * (1.0 + inverse))
+          << "marginal " << marginal;
+    }
   }
 }
 

@@ -9,7 +9,7 @@
 // round would take hours, which is the gap this engine exists to close.
 //
 //   $ ./bench_meanfield              # full scan up to N = 10^6
-//   $ ./bench_meanfield --max-n 100000   # CI smoke: stop at 10^5
+//   $ ./bench_meanfield --max-n 100000   # tier-1 bench.meanfield_scales
 //
 // Exits 1 when a scale point does not converge or when the per-player
 // update-cost spread (max / min across scales) falls outside (0, 4]: ~1x is

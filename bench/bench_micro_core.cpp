@@ -17,7 +17,6 @@
 #include "grid/dispatch.h"
 #include "grid/frequency.h"
 #include "net/bus.h"
-#include "traci/protocol.h"
 #include "traffic/simulation.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -191,22 +190,6 @@ void BM_DispatchStack(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DispatchStack);
-
-void BM_TraciWireRoundTrip(benchmark::State& state) {
-  traffic::Network net;
-  net.add_edge("main", 1000.0, 13.89, 2);
-  traffic::SimulationConfig config;
-  config.deterministic = true;
-  traffic::Simulation sim(net, config);
-  traci::TraciClient client(sim);
-  traci::TraciServer server(client);
-  traci::TraciConnection connection(server);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(connection.get_double(
-        traci::Domain::kEdge, traci::Var::kLastStepMeanSpeed, "main"));
-  }
-}
-BENCHMARK(BM_TraciWireRoundTrip);
 
 void BM_TrafficSimStep(benchmark::State& state) {
   const auto program = traffic::SignalProgram::fixed_cycle(35.0, 4.0, 31.0);

@@ -154,9 +154,15 @@ struct SegmentSolver {
     if (p_max < 0.0) {
       util::hot_fail_invalid_argument("best_response: negative p_max");
     }
+    if (curve.size() == 0) {
+      util::hot_fail_invalid_argument(
+          "best_response: need at least one section");
+    }
     OLEV_AUDIT_FINITE(p_max, "best_response: p_max");
     BestResponseScalars result;
-    const BracketEnd zero = end_at(0.0, curve.price_for(Kilowatts{}));
+    // At a zero total the price is breakpoint 0's: the smallest load's Z',
+    // or the lowest entry price.
+    const BracketEnd zero = end_at(0.0, curve.price(0));
     if (zero.f <= 0.0 || p_max == 0.0) {
       // Marginal price at zero already exceeds marginal satisfaction.
       result.p_star = 0.0;

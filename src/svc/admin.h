@@ -1,8 +1,8 @@
 // Blocking client for olevd's read-only admin plane (docs/SERVING.md,
 // "Admin protocol"): newline-delimited text commands in, one line of JSON
-// out per command.  Used by olev_top, the admin tests, and CI's admin smoke
-// job.  Lives in src/svc so the raw socket calls stay inside the one target
-// lint rule R5 allows them in.
+// out per command.  Used by olev_top and the admin tests.  Lives in src/svc
+// so the raw socket calls stay inside the one target lint rule R5 allows
+// them in.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,8 @@
 // Concurrent load generator for the pricing service: N connections, each a
 // thread-driven player issuing power requests and validating every reply.
-// Used by the olev_loadgen CLI, the CI service job, bench_service, and the
-// concurrency test -- the acceptance bar is `LoadgenReport::clean()` under
-// >= 64 concurrent connections.
+// Used by the olev_loadgen CLI (and through it the e2e ctest entries),
+// bench_service, and the concurrency test -- the acceptance bar is
+// `LoadgenReport::clean()` under >= 64 concurrent connections.
 #pragma once
 
 #include <cstdint>

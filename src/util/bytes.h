@@ -3,8 +3,7 @@
 // journal records (persist/codec.h, persist/journal.cc) and svc's 4-byte
 // frame prefix (svc/frame.cc).  Multi-byte integers are little-endian and
 // doubles travel as their raw IEEE-754 bit patterns, so every round trip is
-// bit-identical (-0.0 and denormals included).  TraCI is big-endian by spec
-// and keeps its own codec (traci/protocol.h).
+// bit-identical (-0.0 and denormals included).
 //
 //   store_le / load_le  one value into / out of a fixed slot (the 48-byte
 //                       journal record, the frame prefix);

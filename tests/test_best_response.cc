@@ -81,6 +81,21 @@ TEST(BestResponse, RejectsNegativeCap) {
   EXPECT_THROW((void)best_response(u, z, b, olev::util::kw(-1.0)), std::invalid_argument);
 }
 
+TEST(BestResponse, RejectsEmptyCorridor) {
+  LogSatisfaction u;
+  const SectionCost z = make_cost();
+  const std::vector<double> b;
+  EXPECT_THROW((void)best_response(u, z, b, olev::util::kw(10.0)),
+               std::invalid_argument);
+  EXPECT_THROW((void)best_response(u, z, b, olev::util::kw(0.0)),
+               std::invalid_argument);
+  const PriceCurve no_sections;
+  std::vector<double> row;
+  EXPECT_THROW(
+      (void)best_response_into(u, no_sections, olev::util::kw(10.0), row),
+      std::invalid_argument);
+}
+
 TEST(BestResponse, CornerAtZeroWhenPriceTooHigh) {
   // Marginal price at zero above U'(0) = 1: request nothing (Eq. 22 case 1).
   const SectionCost z = make_cost(/*beta=*/500.0, /*cap=*/10.0);

@@ -11,8 +11,7 @@
 //     traffic factor (velocity -> P_line), several demand levels and
 //     heterogeneity spreads, heterogeneous per-player capacities from the
 //     battery model;
-//   * a seeded randomized fuzz sweep at N <= 20 (default 2000 trials when
-//     run standalone via --trials, a reduced count under tier-1 ctest).
+//   * a seeded randomized fuzz sweep of 2000 trials at N <= 20.
 //
 // The bands TIGHTEN as N grows: the exact game's asynchronous termination
 // (epsilon on the last cycle's max row delta) leaves a per-player error that
@@ -20,14 +19,10 @@
 // to machine precision (its epsilon is 1e-10 on the aggregate residual).  A
 // failing fuzz trial logs its seed and full scenario JSON so it can be
 // replayed exactly.
-//
-//   $ ./test_meanfield_vs_exact --trials=2000     # full fuzz sweep
-//   $ ./test_meanfield_vs_exact                   # tier-1: 200 trials
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <iostream>
 #include <numeric>
 #include <string>
@@ -42,7 +37,7 @@
 namespace olev::core {
 namespace {
 
-std::size_t g_trials = 200;  // overridden by --trials=N (see main below)
+constexpr std::size_t kTrials = 2000;
 
 double sum(const std::vector<double>& values) {
   return std::accumulate(values.begin(), values.end(), 0.0);
@@ -237,8 +232,7 @@ TEST(MeanFieldVsExact, RandomizedFuzzAgrees) {
   const std::uint64_t sweep_seed = 0xfeed5eed;
   util::Rng rng(sweep_seed);
   DiffReport worst;
-  std::size_t capped_trials = 0;
-  for (std::size_t trial = 0; trial < g_trials; ++trial) {
+  for (std::size_t trial = 0; trial < kTrials; ++trial) {
     ScenarioConfig config = base_config();
     config.num_olevs = static_cast<std::size_t>(rng.uniform_int(2, 20));
     config.num_sections = static_cast<std::size_t>(rng.uniform_int(2, 30));
@@ -266,28 +260,11 @@ TEST(MeanFieldVsExact, RandomizedFuzzAgrees) {
       std::cerr << "replay: scenario = " << scenario_json(config) << "\n";
       break;
     }
-    if (config.target_degree > 1.0) ++capped_trials;
   }
-  std::cout << "[fuzz: " << g_trials << " trials, worst rel diffs -- welfare "
+  std::cout << "[fuzz: " << kTrials << " trials, worst rel diffs -- welfare "
             << worst.welfare_diff << ", payment " << worst.payment_diff
             << ", loads " << worst.load_diff << "]\n";
-  (void)capped_trials;
 }
 
 }  // namespace
 }  // namespace olev::core
-
-int main(int argc, char** argv) {
-  ::testing::InitGoogleTest(&argc, argv);
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--trials=", 9) == 0) {
-      olev::core::g_trials =
-          static_cast<std::size_t>(std::strtoull(arg + 9, nullptr, 10));
-    } else if (std::strcmp(arg, "--trials") == 0 && i + 1 < argc) {
-      olev::core::g_trials =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    }
-  }
-  return RUN_ALL_TESTS();
-}

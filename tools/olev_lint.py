@@ -62,14 +62,14 @@ that util/quantity.h makes checkable but cannot enforce by itself:
   R7 raw-print            Library code under src/ must not write diagnostics
                           to stdout/stderr directly (printf, fprintf, puts,
                           std::cout, std::cerr, ...): ad-hoc prints bypass
-                          the log levels of util/log.h and corrupt the
-                          stdout protocol of the operational binaries (the
-                          olevd ready line is scraped by CI).  src/obs is
-                          exempt (it IS the reporting layer: EnvSession's
-                          exit summaries), as is src/util/log.cc (the log
-                          sink).  snprintf-style formatting into buffers
-                          stays legal.  Tools/examples/bench keep printing:
-                          they are the user-facing surface.
+                          the reporting layer and corrupt the stdout
+                          protocol of the operational binaries (the olevd
+                          ready line is scraped by tests/e2e/olev_e2e.py).
+                          src/obs is exempt (it IS the reporting layer:
+                          EnvSession's exit summaries).  snprintf-style
+                          formatting into buffers stays legal.
+                          Tools/examples/bench keep printing: they are the
+                          user-facing surface.
 
   R8 raw-file-io          Data-path file I/O (std::ofstream/ifstream/
                           fstream/filebuf, fopen/freopen/tmpfile, ::open)
@@ -186,7 +186,6 @@ R6_SYNC = re.compile(
 # match the tail of snprintf/sprintf/vsnprintf (no word boundary after a
 # word character), so buffer formatting stays legal by construction.
 PRINT_EXEMPT_PREFIX = "src/obs/"
-PRINT_EXEMPT_FILES = {"src/util/log.cc"}
 R7_PRINT = re.compile(
     r"\bstd\s*::\s*(?:cout|cerr|clog)\b"
     r"|\b(?:std\s*::\s*)?(?:printf|fprintf|vfprintf|puts|fputs|putchar"
@@ -331,8 +330,8 @@ def lint_raw_sync(path: str, text: str) -> list[Finding]:
 
 
 def lint_raw_print(path: str, text: str) -> list[Finding]:
-    if path.startswith(PRINT_EXEMPT_PREFIX) or path in PRINT_EXEMPT_FILES:
-        return []  # the reporting layer and the log sink
+    if path.startswith(PRINT_EXEMPT_PREFIX):
+        return []  # the reporting layer
     findings = []
     for number, line in enumerate(text.splitlines(), start=1):
         code = strip_comment(line)
@@ -344,9 +343,8 @@ def lint_raw_print(path: str, text: str) -> list[Finding]:
                     path,
                     number,
                     f"direct diagnostic '{match.group(0).strip()}' in library "
-                    "code; log through util/log.h or report through src/obs "
-                    "(ad-hoc prints bypass log levels and corrupt tool "
-                    "stdout protocols)",
+                    "code; report through src/obs (ad-hoc prints corrupt "
+                    "tool stdout protocols)",
                 )
             )
     return findings
@@ -692,7 +690,7 @@ SELF_TESTS = [
         lint_raw_print,
         "src/util/log.cc",
         'std::cerr << "[olev] " << message;\n',
-        False,  # the log sink itself
+        True,  # no file outside src/obs is a print sink
     ),
     (
         lint_raw_print,

@@ -3,8 +3,8 @@
 // Opens N connections, binds each to a player, fires power requests, and
 // validates every reply (player/round echo, finite non-negative allocation,
 // water-filling budget, finite payment).  Exits 0 only when the run was
-// clean: zero garbled replies and zero transport errors -- the CI service
-// job's acceptance bar.
+// clean: zero garbled replies and zero transport errors -- the acceptance
+// bar of the e2e ctest entries (tests/e2e/olev_e2e.py).
 //
 //   $ ./olev_loadgen --port 7143 --connections 64 --requests 50 --players 64
 

@@ -7,8 +7,8 @@
 // requests the daemon applied, in apply order, so the replay reaches the
 // daemon's schedule; and because the engine is deterministic, two replays of
 // the same journal -- or a replay against the hash captured from a previous
-// one -- must agree bit-for-bit.  The CI persist job gates on exactly that
-// via --expect-hash.
+// one -- must agree bit-for-bit.  The ctest entry e2e.persist gates on
+// exactly that via --expect-hash.
 //
 //   $ ./olev_replay --journal j.bin
 //   $ ./olev_replay --journal j.bin --expect-hash 0x1234abcd5678ef90

@@ -237,19 +237,19 @@ int main(int argc, char** argv) {
     (void)std::signal(SIGINT, handle_signal);
     (void)std::signal(SIGPIPE, SIG_IGN);
 
-    // The ready line is a contract: the CI service job and scripted callers
-    // scrape it for the resolved port before launching clients.
+    // The ready line is a contract: tests/e2e/olev_e2e.py and scripted
+    // callers scrape it for the resolved port before launching clients.
     std::printf("olevd: listening on 127.0.0.1:%u\n",
                 static_cast<unsigned>(service.port()));
     if (service.admin_port() != 0) {
-      // Same contract as the ready line: olev_top and the CI admin smoke
-      // job scrape this for the resolved admin port.
+      // Same contract as the ready line: scripts scrape this for the
+      // resolved admin port to hand to olev_top or an admin query.
       std::printf("olevd: admin on 127.0.0.1:%u\n",
                   static_cast<unsigned>(service.admin_port()));
     }
     if (service.resumed()) {
-      // Scraped by the CI persist job: proof the round picked up at the
-      // exact cursor rather than restarting from zero.
+      // Scraped by the e2e.persist ctest entry: proof the round picked up
+      // at the exact cursor rather than restarting from zero.
       std::printf("olevd: resumed updates=%zu cursor=%zu converged=%s\n",
                   service.game_updates(),
                   service.game_updates() % options.players,
